@@ -11,12 +11,18 @@ nodes, and weights are updated locally to avoid communication.
   the paper's grid-correspondence heuristic, the centralized
   "standard CNN" comparator, and round-robin/random baselines.
 - :mod:`repro.core.costmodel` -- static per-node communication cost
-  (received values per inference, Fig. 10's y-axis).
+  (received values per inference, Fig. 10's y-axis) and the one
+  derivation of the cross-node transfer list.
+- :mod:`repro.core.placement_index` -- :class:`PlacementIndex`, every
+  fact derived from a placement (owner of each position, positions
+  per node, dead-node gathers, transfer groups), built once and read
+  by the executor, the plan compiler, the trainer, and the fault
+  runtime.
 - :mod:`repro.core.executor` -- distributed forward execution over a
   :class:`repro.wsn.Network` with measured traffic and node-failure
   masking.
-- :mod:`repro.core.compiled` -- steady-state fast path: placement +
-  network schedule compiled to a flat ndarray program with one batched
+- :mod:`repro.core.compiled` -- steady-state fast path: the transfer
+  groups folded through the network's router into one batched
   traffic-accounting update (event-driven path kept as parity oracle).
 - :mod:`repro.core.training` -- exact vs. local (communication-free)
   distributed backpropagation.
@@ -31,10 +37,10 @@ from repro.core.assignment import (
     round_robin_assignment,
 )
 from repro.core.costmodel import CommunicationCostModel, CostReport
+from repro.core.placement_index import PlacementIndex
 from repro.core.compiled import (
     CompiledPlan,
     HopProgram,
-    LayerMask,
     PlanNotCompilable,
     compile_plan,
 )
@@ -63,9 +69,9 @@ __all__ = [
     "random_assignment",
     "CommunicationCostModel",
     "CostReport",
+    "PlacementIndex",
     "CompiledPlan",
     "HopProgram",
-    "LayerMask",
     "PlanNotCompilable",
     "compile_plan",
     "DistributedExecutor",

@@ -83,21 +83,6 @@ def _input_mapping(graph: UnitGraph, topology: GridTopology) -> Dict[GridPos, in
     }
 
 
-def _producer_node(
-    placement: Placement,
-    graph: UnitGraph,
-    layer_index: int,
-    slot,
-) -> int:
-    """Owner of a slot of the layer *feeding* ``layer_index``."""
-    prev = layer_index - 1
-    while prev >= 0 and graph.layers[prev].kind == "flatten":
-        prev -= 1
-    if prev < 0:
-        return placement.input_node[slot]
-    return placement.unit_node[(prev, slot)]
-
-
 def _build(
     graph: UnitGraph,
     topology: GridTopology,
@@ -111,9 +96,13 @@ def _build(
         if entry.kind == "flatten":
             continue
         elementwise = entry.layer.is_elementwise
+        feeding = graph.feeding[entry.index]
         for slot in entry.output_positions():
             if elementwise:
-                node = _producer_node(placement, graph, entry.index, slot)
+                node = (
+                    placement.input_node[slot] if feeding < 0
+                    else placement.unit_node[(feeding, slot)]
+                )
             elif entry.kind == "spatial":
                 node = place_spatial(entry, slot)
             else:

@@ -3,14 +3,14 @@
 In steady state (no faults, no lossy links, every node up) the
 per-layer communication pattern of a placed CNN is fully static, so
 nothing about a forward pass needs to be decided at run time: the
-routes, the per-link traffic, even the failure-masking index arrays
-are all functions of the placement and the topology alone.  This
-package "compiles" that structure once into a flat ndarray program —
-precomputed per-layer gather/scatter index arrays plus hop groups
-with one batched traffic-accounting update each (the
-``traffic_replay_batched`` trick generalized to the whole forward) —
-which :meth:`CompiledPlan.run` then executes without touching the
-event loop.
+routes and the per-link traffic are functions of the placement and
+the topology alone.  This package "compiles" that structure once into
+a flat ndarray program — hop groups with one batched
+traffic-accounting update each (the ``traffic_replay_batched`` trick
+generalized to the whole forward) — which :meth:`CompiledPlan.run`
+then executes without touching the event loop.  Routes come from the
+network's own router, so the plan and the event-driven path can
+never disagree on a path.
 
 The event-driven :class:`repro.core.DistributedExecutor` path stays
 as the parity oracle (the differential suite pins byte-identical
@@ -20,17 +20,17 @@ model, or active brownout makes the static schedule unsound.
 
 Import discipline: nothing in this package may import
 :mod:`repro.sim` — the whole point of a compiled plan is that the
-hot path can never regress into the event loop.  An AST lint in the
-test suite enforces it.
+hot path can never regress into the event loop — nor ``networkx``
+(routing belongs to the network's router).  AST lints in the test
+suite enforce both.
 """
 
-from repro.core.compiled.plan import CompiledPlan, HopProgram, LayerMask
+from repro.core.compiled.plan import CompiledPlan, HopProgram
 from repro.core.compiled.compiler import PlanNotCompilable, compile_plan
 
 __all__ = [
     "CompiledPlan",
     "HopProgram",
-    "LayerMask",
     "PlanNotCompilable",
     "compile_plan",
 ]

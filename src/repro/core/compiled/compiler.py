@@ -1,11 +1,10 @@
 """Planner pass: placement + network schedule -> flat ndarray program.
 
-:func:`compile_plan` folds the executor's aggregated transfer list
-through the (static) routes into per-link and per-node integer
-tallies, and flattens the per-layer owner maps into gather/scatter
-index arrays.  Compilation either round-trips the event-driven
-semantics exactly or raises the typed :class:`PlanNotCompilable` —
-never a silently-wrong plan.
+:func:`compile_plan` folds the placement index's transfer groups
+through the network's own router — the one the event-driven path
+uses — into per-link and per-node integer tallies.  Compilation
+either round-trips the event-driven semantics exactly or raises the
+typed :class:`PlanNotCompilable` — never a silently-wrong plan.
 
 This module must never import :mod:`repro.sim` (lint-enforced).
 """
@@ -14,10 +13,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
-from repro.core.compiled.plan import CompiledPlan, HopProgram, LayerMask
+from repro.core.compiled.plan import CompiledPlan, HopProgram
 
 
 class PlanNotCompilable(RuntimeError):
@@ -35,14 +33,6 @@ class PlanNotCompilable(RuntimeError):
         if detail:
             message = f"{message}: {detail}"
         super().__init__(message)
-
-
-def _check_compilable(executor) -> None:
-    """Raise unless the executor is in the static steady state."""
-    blocked = plan_blocked(executor)
-    if blocked is not None:
-        reason, detail = blocked
-        raise PlanNotCompilable(reason, detail)
 
 
 def plan_blocked(executor) -> Optional[Tuple[str, str]]:
@@ -68,89 +58,19 @@ def plan_blocked(executor) -> Optional[Tuple[str, str]]:
     return None
 
 
-def _routes(topology):
-    """Route resolver over one connectivity snapshot.
-
-    The graph is built once (the event-driven path rebuilds it per
-    unicast — exactly the cost compilation amortizes away); with every
-    node alive it matches what
-    :func:`repro.wsn.routing.shortest_path_route` would return call by
-    call, so the compiled traffic equals the oracle's.
-    """
-    g = topology.graph()
-
-    def route(src: int, dst: int) -> Optional[List[int]]:
-        if src == dst:
-            return [src]
-        if src not in g or dst not in g:
-            return None
-        try:
-            return nx.shortest_path(g, src, dst)
-        except nx.NetworkXNoPath:
-            return None
-
-    return route
-
-
-def _spatial_mask(index_map: Dict) -> LayerMask:
-    nodes = sorted(index_map)
-    if not nodes:
-        empty = np.empty(0, dtype=np.intp)
-        return LayerMask(spatial=True, pos_node=empty, rows=empty, cols=empty)
-    return LayerMask(
-        spatial=True,
-        pos_node=np.concatenate([
-            np.full(index_map[n][0].shape[0], n, dtype=np.intp)
-            for n in nodes
-        ]),
-        rows=np.concatenate([index_map[n][0] for n in nodes]),
-        cols=np.concatenate([index_map[n][1] for n in nodes]),
-    )
-
-
-def _flat_mask(index_map: Dict) -> LayerMask:
-    nodes = sorted(index_map)
-    if not nodes:
-        empty = np.empty(0, dtype=np.intp)
-        return LayerMask(spatial=False, pos_node=empty, flat=empty)
-    return LayerMask(
-        spatial=False,
-        pos_node=np.concatenate([
-            np.full(index_map[n].shape[0], n, dtype=np.intp) for n in nodes
-        ]),
-        flat=np.concatenate([index_map[n] for n in nodes]),
-    )
-
-
-def _build_masks(executor) -> List[Optional[LayerMask]]:
-    """Flatten the executor's per-node owner maps into aligned
-    gather/scatter arrays (element 0 = input grid, then one per
-    layer, None for flatten)."""
-    maps = executor._owner_indices()
-    masks: List[Optional[LayerMask]] = [_spatial_mask(maps[0])]
-    for entry, index_map in zip(executor.graph.layers, maps[1:]):
-        if index_map is None:
-            masks.append(None)
-        elif entry.kind == "spatial":
-            masks.append(_spatial_mask(index_map))
-        else:
-            masks.append(_flat_mask(index_map))
-    return masks
-
-
 def _build_hop_program(executor) -> HopProgram:
-    """Fold the aggregated transfer list through the routes into one
-    integer tally per link and per node — the whole forward's traffic
-    as a handful of arrays."""
-    route_of = _routes(executor.network.topology)
+    """Fold the transfer groups through the routes into one integer
+    tally per link and per node — the whole forward's traffic as a
+    handful of arrays."""
+    network = executor.network
     link_acc: Dict[Tuple[int, int], List[int]] = {}
     tx_acc: Dict[int, List[int]] = {}
     rx_acc: Dict[int, List[int]] = {}
     sent = 0
     hops = 0
-    groups = executor._aggregated_transfers()
+    groups = executor.index.groups
     for (layer_index, src, dst, n_values), multiplicity in groups:
-        route = route_of(src, dst)
+        route = network.router(network.topology, src, dst)
         if route is None:
             raise PlanNotCompilable(
                 "unroutable",
@@ -201,10 +121,11 @@ def compile_plan(executor) -> CompiledPlan:
             unroutable.  The caller falls back to the event-driven
             path in that case — compilation is never silently wrong.
     """
-    _check_compilable(executor)
+    blocked = plan_blocked(executor)
+    if blocked is not None:
+        raise PlanNotCompilable(*blocked)
     return CompiledPlan(
         network=executor.network,
         layers=executor.graph.layers,
         hops=_build_hop_program(executor),
-        masks=_build_masks(executor),
     )

@@ -1,6 +1,6 @@
 """The flat ndarray program a compiled plan executes.
 
-A :class:`CompiledPlan` holds three precomputed pieces:
+A :class:`CompiledPlan` holds two precomputed pieces:
 
 - the model's layer sequence (the arithmetic is identical to the
   centralized forward, so logits stay byte-for-byte equal to the
@@ -8,10 +8,7 @@ A :class:`CompiledPlan` holds three precomputed pieces:
 - a :class:`HopProgram` — every directed link's per-inference packet
   and value tallies, already aggregated over all transfer groups and
   route hops, which :meth:`repro.wsn.Network.account_compiled` applies
-  as one batched accounting update;
-- per-layer gather/scatter index arrays (:class:`LayerMask`) mapping
-  owner nodes to output positions, so failure masking is a boolean
-  gather plus one fancy-indexed zeroing per layer.
+  as one batched accounting update.
 
 This module must never import :mod:`repro.sim` (lint-enforced): the
 compiled hot path owes its speed to never entering the event loop.
@@ -19,8 +16,8 @@ compiled hot path owes its speed to never entering the event loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict
 
 import numpy as np
 
@@ -70,40 +67,12 @@ class HopProgram:
         return int(self.link_values.sum())
 
 
-@dataclass(frozen=True)
-class LayerMask:
-    """Owner map of one layer's output positions, flattened.
-
-    ``pos_node[i]`` is the node hosting position ``i``; ``rows``/
-    ``cols`` (spatial) or ``flat`` (dense) are the aligned index
-    arrays.  Masking a dead set is ``np.isin(pos_node, dead)`` and one
-    fancy-indexed assignment — no per-position Python.
-    """
-
-    spatial: bool
-    pos_node: np.ndarray
-    rows: Optional[np.ndarray] = None
-    cols: Optional[np.ndarray] = None
-    flat: Optional[np.ndarray] = None
-
-    def dead_index(self, dead: np.ndarray):
-        """Index arrays of the positions owned by ``dead`` nodes
-        (None when the layer has none)."""
-        sel = np.isin(self.pos_node, dead)
-        if not sel.any():
-            return None
-        if self.spatial:
-            return self.rows[sel], self.cols[sel]
-        return self.flat[sel]
-
-
 class CompiledPlan:
     """A placement + network schedule compiled to straight-line code.
 
     Built by :func:`repro.core.compiled.compile_plan`; executed by
-    :meth:`run` (and :meth:`run_masked` for the node-failure scenario)
-    without consulting routing, the simulator, or any per-transfer
-    Python loop.  The plan is only sound under the conditions it was
+    :meth:`run` without consulting routing, the simulator, or any
+    per-transfer Python loop.  The plan is only sound under the conditions it was
     compiled for — ideal links, every node alive — which the executor
     re-checks before each use (falling back to the event-driven oracle
     otherwise).
@@ -112,19 +81,14 @@ class CompiledPlan:
         network: the network whose counters the plan advances.
         layers: the unit-graph layer entries, in forward order.
         hops: the aggregated traffic program.
-        masks: per-layer :class:`LayerMask` maps — element 0 is the
-            input grid, element ``1 + i`` belongs to ``layers[i]``
-            (None for flatten layers, which move no data).
     """
 
-    def __init__(self, network, layers, hops: HopProgram, masks) -> None:
+    def __init__(self, network, layers, hops: HopProgram) -> None:
         self.network = network
         self.hops = hops
-        self.masks = list(masks)
-        self._entries = list(layers)
         #: Bound forward callables, one per layer — the whole
         #: arithmetic program, flattened.
-        self._ops = [entry.layer.forward for entry in self._entries]
+        self._ops = [entry.layer.forward for entry in layers]
 
     @property
     def n_layers(self) -> int:
@@ -153,36 +117,4 @@ class CompiledPlan:
         out = x
         for op in self._ops:
             out = op(out, training=False)
-        return out
-
-    def run_masked(
-        self, x: np.ndarray, dead_nodes: Iterable[int]
-    ) -> np.ndarray:
-        """Compiled twin of
-        :meth:`repro.core.DistributedExecutor.forward_masked`: units
-        hosted on dead nodes output zero, input cells measured by dead
-        sensors read zero.  Uses the precomputed gather/scatter maps —
-        one boolean gather and at most one zeroing per layer."""
-        dead = np.array(sorted(set(int(n) for n in dead_nodes)), dtype=np.intp)
-        if dead.size == 0:
-            out = x
-            for op in self._ops:
-                out = op(out, training=False)
-            return out
-        x = np.array(x, copy=True)
-        input_index = self.masks[0].dead_index(dead)
-        if input_index is not None:
-            x[:, :, input_index[0], input_index[1]] = 0.0
-        out = x
-        for entry, mask, op in zip(self._entries, self.masks[1:], self._ops):
-            out = op(out, training=False)
-            if mask is None:
-                continue
-            span = mask.dead_index(dead)
-            if span is None:
-                continue
-            if mask.spatial:
-                out[:, :, span[0], span[1]] = 0.0
-            else:
-                out[:, span] = 0.0
         return out

@@ -64,6 +64,108 @@ class CostReport:
         return [self.rx_values.get(n, 0) for n in node_ids]
 
 
+def _input_groups(graph: UnitGraph, placement: Placement) -> List[ProducerGroup]:
+    h, w = graph.input_hw
+    return [
+        ProducerGroup(
+            key=(y, x),
+            node=placement.node_of_input((y, x)),
+            n_values=graph.input_values,
+        )
+        for y in range(h)
+        for x in range(w)
+    ]
+
+
+def _layer_transfers(
+    entry: LayerUnits,
+    groups: List[ProducerGroup],
+    placement: Placement,
+    out: List[Tuple[int, int, int, int]],
+) -> List[ProducerGroup]:
+    """Append one layer's transfers to ``out``; return its output
+    groups.  Transfers are ``(layer_index, src, dst, n_values)``."""
+    if entry.kind == "flatten":
+        return groups
+    by_key = {g.key: g for g in groups}
+    shipped = set()  # (producer key, consumer node)
+    out_groups: List[ProducerGroup] = []
+    if entry.kind == "spatial":
+        for pos in entry.output_positions():
+            node = placement.node_of(entry.index, pos)
+            for dep in entry.deps[pos]:
+                producer = by_key[dep]
+                if producer.node != node and (dep, node) not in shipped:
+                    shipped.add((dep, node))
+                    out.append(
+                        (entry.index, producer.node, node, producer.n_values)
+                    )
+            out_groups.append(
+                ProducerGroup(key=pos, node=node, n_values=entry.out_values)
+            )
+    elif entry.layer.is_elementwise:  # flat elementwise
+        for unit in entry.output_positions():
+            node = placement.node_of(entry.index, unit)
+            producer = by_key[unit]
+            if producer.node != node:
+                out.append(
+                    (entry.index, producer.node, node, producer.n_values)
+                )
+            out_groups.append(ProducerGroup(key=unit, node=node, n_values=1))
+    else:  # dense: every unit reads every producer group
+        consumer_nodes = {
+            placement.node_of(entry.index, unit)
+            for unit in entry.output_positions()
+        }
+        for node in sorted(consumer_nodes):
+            for producer in groups:
+                if producer.node != node:
+                    out.append(
+                        (entry.index, producer.node, node, producer.n_values)
+                    )
+        out_groups = [
+            ProducerGroup(
+                key=unit,
+                node=placement.node_of(entry.index, unit),
+                n_values=1,
+            )
+            for unit in entry.output_positions()
+        ]
+    return out_groups
+
+
+def placement_transfers(
+    graph: UnitGraph,
+    placement: Placement,
+    collect_output_at: Optional[int] = None,
+) -> List[Tuple[int, int, int, int]]:
+    """All cross-node transfers of one forward pass, as
+    ``(layer_index, src_node, dst_node, n_values)`` tuples.
+
+    The one derivation of the transfer list: the cost model prices it,
+    and :class:`repro.core.placement_index.PlacementIndex` hands it to
+    the executor, the plan compiler, and the fault runtime, which
+    replay it over the network layer — so measured traffic can be
+    checked against modelled traffic.
+    """
+    out: List[Tuple[int, int, int, int]] = []
+    groups = _input_groups(graph, placement)
+    for entry in graph.layers:
+        groups = _layer_transfers(entry, groups, placement, out)
+    if collect_output_at is not None:
+        for producer in groups:
+            if producer.node != collect_output_at:
+                out.append(
+                    (
+                        graph.n_layers,
+                        producer.node,
+                        collect_output_at,
+                        producer.n_values,
+                    )
+                )
+    return out
+
+
 class CommunicationCostModel:
     """Computes :class:`CostReport` objects for placements.
 
@@ -75,9 +177,15 @@ class CommunicationCostModel:
     def __init__(self, graph: UnitGraph, topology: Topology) -> None:
         self.graph = graph
         self.topology = topology
+        #: Routes of the topology state :attr:`_route_epoch` names; a
+        #: node move or alive flip bumps the epoch and empties it.
         self._route_cache: Dict[Tuple[int, int], Optional[list]] = {}
+        self._route_epoch = topology.epoch
 
     def _route(self, src: int, dst: int) -> Optional[list]:
+        if self._route_epoch != self.topology.epoch:
+            self._route_cache = {}
+            self._route_epoch = self.topology.epoch
         key = (src, dst)
         if key not in self._route_cache:
             self._route_cache[key] = shortest_path_route(self.topology, src, dst)
@@ -99,101 +207,11 @@ class CommunicationCostModel:
         for hop_dst in route[1:]:
             report.add(hop_dst, n_values, layer_index)
 
-    def _input_groups(self, placement: Placement) -> List[ProducerGroup]:
-        h, w = self.graph.input_hw
-        return [
-            ProducerGroup(
-                key=(y, x),
-                node=placement.node_of_input((y, x)),
-                n_values=self.graph.input_values,
-            )
-            for y in range(h)
-            for x in range(w)
-        ]
-
-    def _layer_transfers(
-        self,
-        entry: LayerUnits,
-        groups: List[ProducerGroup],
-        placement: Placement,
-        out: List[Tuple[int, int, int, int]],
-    ) -> List[ProducerGroup]:
-        """Append one layer's transfers to ``out``; return its output
-        groups.  Transfers are ``(layer_index, src, dst, n_values)``."""
-        if entry.kind == "flatten":
-            return groups
-        by_key = {g.key: g for g in groups}
-        shipped = set()  # (producer key, consumer node)
-        out_groups: List[ProducerGroup] = []
-        if entry.kind == "spatial":
-            for pos in entry.output_positions():
-                node = placement.node_of(entry.index, pos)
-                for dep in entry.deps[pos]:
-                    producer = by_key[dep]
-                    if producer.node != node and (dep, node) not in shipped:
-                        shipped.add((dep, node))
-                        out.append(
-                            (entry.index, producer.node, node, producer.n_values)
-                        )
-                out_groups.append(
-                    ProducerGroup(key=pos, node=node, n_values=entry.out_values)
-                )
-        elif entry.layer.is_elementwise:  # flat elementwise
-            for unit in entry.output_positions():
-                node = placement.node_of(entry.index, unit)
-                producer = by_key[unit]
-                if producer.node != node:
-                    out.append(
-                        (entry.index, producer.node, node, producer.n_values)
-                    )
-                out_groups.append(ProducerGroup(key=unit, node=node, n_values=1))
-        else:  # dense: every unit reads every producer group
-            consumer_nodes = {
-                placement.node_of(entry.index, unit)
-                for unit in entry.output_positions()
-            }
-            for node in sorted(consumer_nodes):
-                for producer in groups:
-                    if producer.node != node:
-                        out.append(
-                            (entry.index, producer.node, node, producer.n_values)
-                        )
-            out_groups = [
-                ProducerGroup(
-                    key=unit,
-                    node=placement.node_of(entry.index, unit),
-                    n_values=1,
-                )
-                for unit in entry.output_positions()
-            ]
-        return out_groups
-
     def transfers(
         self, placement: Placement, collect_output_at: Optional[int] = None
     ) -> List[Tuple[int, int, int, int]]:
-        """All cross-node transfers of one forward pass, as
-        ``(layer_index, src_node, dst_node, n_values)`` tuples.
-
-        The distributed executor replays exactly this list over the
-        network layer, which lets the test suite check measured
-        against modelled traffic.
-        """
-        out: List[Tuple[int, int, int, int]] = []
-        groups = self._input_groups(placement)
-        for entry in self.graph.layers:
-            groups = self._layer_transfers(entry, groups, placement, out)
-        if collect_output_at is not None:
-            for producer in groups:
-                if producer.node != collect_output_at:
-                    out.append(
-                        (
-                            self.graph.n_layers,
-                            producer.node,
-                            collect_output_at,
-                            producer.n_values,
-                        )
-                    )
-        return out
+        """:func:`placement_transfers` for this model's graph."""
+        return placement_transfers(self.graph, placement, collect_output_at)
 
     def inference_cost(
         self, placement: Placement, collect_output_at: Optional[int] = None

@@ -18,22 +18,25 @@ Hot paths are vectorized (see README "Performance"):
   the event-driven path below stays as the parity oracle and is
   re-selected automatically the moment a fault adapter, lossy link
   model, or active brownout appears;
-- the event-driven traffic replay aggregates the transfer list per
-  ``(layer, src, dst, n_values)`` and sends each group through
+- the event-driven traffic replay sends each ``(layer, src, dst,
+  n_values)`` transfer group through
   :meth:`repro.wsn.Network.unicast_bulk` once, instead of one Python
   ``unicast`` per transfer per batch element;
 - failure masking zeroes each layer with one fancy-indexed assignment
-  built from precomputed per-node index maps, instead of a Python loop
-  over positions.
+  gathered from the :class:`~repro.core.placement_index.PlacementIndex`,
+  instead of a Python loop over positions.
 
-The pre-optimization reference paths (``forward(per_element=True)``,
-:meth:`forward_masked_reference`) stay callable so the parity tests can
-prove the fast paths behavior-identical.
+Every placement-derived fact (owners, per-node positions, the transfer
+list and its groups) comes from the executor's one
+:class:`~repro.core.placement_index.PlacementIndex`.  The
+pre-optimization reference paths (:meth:`replay_traffic_reference`,
+:meth:`forward_masked_reference`) stay callable so the parity tests
+can prove the fast paths behavior-identical.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Iterable, Optional, Set
 
 import numpy as np
 
@@ -41,14 +44,10 @@ from repro.core.assignment import Placement
 from repro.core.compiled import CompiledPlan, PlanNotCompilable, compile_plan
 from repro.core.compiled.compiler import plan_blocked
 from repro.core.costmodel import CommunicationCostModel
+from repro.core.placement_index import INPUT, PlacementIndex
 from repro.core.unitgraph import UnitGraph
 from repro.nn.model import Sequential
 from repro.wsn.network import Message, Network
-
-#: node -> (row indices, col indices) for spatial layers, or
-#: node -> unit indices for flat layers.
-SpatialIndex = Dict[int, Tuple[np.ndarray, np.ndarray]]
-FlatIndex = Dict[int, np.ndarray]
 
 
 class DistributedExecutor:
@@ -80,49 +79,25 @@ class DistributedExecutor:
         #: (the adapter rewrites activations) and :meth:`forward` always
         #: takes the event-driven path.
         self.fault_adapter = fault_adapter
+        #: The placement's owners, per-node positions, and transfers.
+        self.index = PlacementIndex(graph, placement)
         self._cost_model = CommunicationCostModel(graph, network.topology)
-        self._transfer_list = None
-        self._aggregated_list = None
-        self._owner_index = None
-        self._dead_index_cache: Dict[frozenset, list] = {}
+        #: Compilation outcome (a plan, or the reason there is none)
+        #: for the topology state :attr:`_plan_epoch` names.
         self._compiled_plan: Optional[CompiledPlan] = None
         self._plan_uncompilable: Optional[str] = None
+        self._plan_epoch: Optional[int] = None
         if telemetry is None:
             from repro.obs.runtime import current
 
             telemetry = current()
         self._telemetry = telemetry
 
-    def _transfers(self):
-        if self._transfer_list is None:
-            self._transfer_list = self._cost_model.transfers(self.placement)
-        return self._transfer_list
-
-    def _aggregated_transfers(self):
-        """Transfer list grouped by ``(layer, src, dst, n_values)``.
-
-        Returns ``[(key, multiplicity), ...]`` in first-occurrence
-        order, which keeps the replayed layer sequence non-decreasing
-        exactly like the flat list.
-        """
-        if self._aggregated_list is None:
-            counts: Dict[Tuple[int, int, int, int], int] = {}
-            order: List[Tuple[int, int, int, int]] = []
-            for key in self._transfers():
-                if key in counts:
-                    counts[key] += 1
-                else:
-                    counts[key] = 1
-                    order.append(key)
-            self._aggregated_list = [(key, counts[key]) for key in order]
-        return self._aggregated_list
-
     def forward(
         self,
         x: np.ndarray,
         count_traffic: bool = True,
-        per_element: bool = False,
-        plan="auto",
+        plan: Optional[str] = "auto",
     ) -> np.ndarray:
         """Distributed forward pass.
 
@@ -140,39 +115,25 @@ class DistributedExecutor:
           unsound, in which case the call falls back to the
           event-driven path below (and retries compilation once the
           condition clears).
-        - a :class:`CompiledPlan` instance: use that plan (it must have
-          been compiled against this executor's network), with the same
-          soundness re-check and fallback.
         - ``None``: always take the event-driven path — the parity
           oracle the differential suite pins the compiled path against.
-
-        The event-driven path aggregates identical transfers and
-        replays each group with one bulk send; ``per_element=True``
-        (implies the event path) selects the original
-        one-``unicast``-per-transfer-per-element compatibility loop
-        (same traffic stats, Python-interpreter bound).
 
         Returns:
             The model logits (identical to the centralized forward).
         """
-        if plan is not None and not per_element:
+        if plan not in ("auto", None):
+            raise ValueError(f"plan must be 'auto' or None, got {plan!r}")
+        if plan is not None:
             blocked = plan_blocked(self)
             if blocked is None:
-                if isinstance(plan, CompiledPlan):
-                    if plan.network is not self.network:
-                        raise ValueError(
-                            "plan was compiled against a different network"
-                        )
-                    compiled = plan
-                else:
-                    compiled = self._ensure_plan()
+                compiled = self._ensure_plan()
                 if compiled is not None:
                     return self._forward_compiled(compiled, x, count_traffic)
-                self._note_fallback(self._plan_uncompilable or "uncompilable")
+                self._note_fallback(self._plan_uncompilable)
             else:
                 self._note_fallback(blocked[0])
         if count_traffic:
-            self.replay_traffic(x.shape[0], per_element=per_element)
+            self.replay_traffic(x.shape[0])
         tel = self._telemetry
         if not tel.enabled:
             return self.model.forward(x, training=False)
@@ -192,22 +153,23 @@ class DistributedExecutor:
             raise PlanNotCompilable(blocked[0], blocked[1])
         compiled = self._ensure_plan()
         if compiled is None:
-            raise PlanNotCompilable(self._plan_uncompilable or "uncompilable")
+            raise PlanNotCompilable(self._plan_uncompilable)
         return compiled
 
     def _ensure_plan(self) -> Optional[CompiledPlan]:
-        """Memoized compilation.  A static failure (e.g. an unroutable
-        transfer under ideal, all-alive conditions) cannot heal, so it
-        is cached and compilation is not retried."""
-        if self._compiled_plan is not None:
-            return self._compiled_plan
-        if self._plan_uncompilable is not None:
-            return None
-        try:
-            self._compiled_plan = compile_plan(self)
-        except PlanNotCompilable as exc:
-            self._plan_uncompilable = exc.reason
-            return None
+        """Memoized compilation, keyed on the topology epoch.  A node
+        move or alive flip changes routes, so a plan — or an
+        ``"unroutable"`` verdict — holds only for the topology state it
+        was compiled against."""
+        epoch = self.network.topology.epoch
+        if epoch != self._plan_epoch:
+            self._plan_epoch = epoch
+            try:
+                self._compiled_plan = compile_plan(self)
+                self._plan_uncompilable = None
+            except PlanNotCompilable as exc:
+                self._compiled_plan = None
+                self._plan_uncompilable = exc.reason
         return self._compiled_plan
 
     def _forward_compiled(
@@ -251,32 +213,36 @@ class DistributedExecutor:
                     out = entry.layer.forward(out, training=False)
             return out
 
-    def replay_traffic(self, batch: int, per_element: bool = False) -> None:
+    def replay_traffic(self, batch: int) -> None:
         """Account ``batch`` inferences' cross-node transfers on the
-        network layer (the traffic half of :meth:`forward`, exposed so
-        the perf harness can benchmark the replay in isolation)."""
+        network layer (the traffic half of :meth:`forward`): one
+        :meth:`~repro.wsn.Network.unicast_bulk` per transfer group."""
         tel = self._telemetry
         if tel.enabled:
             with tel.tracer.span("exec.replay", batch=batch):
-                self._replay_traffic_inner(batch, per_element)
+                self._replay_groups(batch)
         else:
-            self._replay_traffic_inner(batch, per_element)
+            self._replay_groups(batch)
 
-    def _replay_traffic_inner(self, batch: int, per_element: bool) -> None:
-        if per_element:
-            for layer_index, src, dst, n_values in self._transfers():
-                for __ in range(batch):
-                    self.network.unicast(
-                        Message(src=src, dst=dst, n_values=n_values,
-                                kind=f"layer{layer_index}")
-                    )
-        else:
-            for key, multiplicity in self._aggregated_transfers():
-                layer_index, src, dst, n_values = key
-                self.network.unicast_bulk(
+    def _replay_groups(self, batch: int) -> None:
+        for key, multiplicity in self.index.groups:
+            layer_index, src, dst, n_values = key
+            self.network.unicast_bulk(
+                Message(src=src, dst=dst, n_values=n_values,
+                        kind=f"layer{layer_index}"),
+                copies=batch * multiplicity,
+            )
+
+    def replay_traffic_reference(self, batch: int) -> None:
+        """Pre-aggregation :meth:`replay_traffic`: one ``unicast`` per
+        transfer per batch element (same traffic stats, interpreter
+        bound).  Kept callable so the parity tests can prove the
+        grouped replay counter-exact."""
+        for layer_index, src, dst, n_values in self.index.transfers:
+            for __ in range(batch):
+                self.network.unicast(
                     Message(src=src, dst=dst, n_values=n_values,
-                            kind=f"layer{layer_index}"),
-                    copies=batch * multiplicity,
+                            kind=f"layer{layer_index}")
                 )
 
     def predict(self, x: np.ndarray, count_traffic: bool = False) -> np.ndarray:
@@ -317,62 +283,6 @@ class DistributedExecutor:
                     out = replacement
         return out
 
-    def _owner_indices(self):
-        """Precomputed node -> output-index arrays, one map per layer.
-
-        Element 0 is the input grid's map; element ``1 + i`` belongs to
-        ``graph.layers[i]`` (None for flatten layers).  Spatial maps
-        hold ``(rows, cols)`` index-array pairs, flat maps hold unit
-        index arrays — ready for one fancy-indexed zeroing per layer.
-        """
-        if self._owner_index is None:
-            maps: List[Optional[dict]] = []
-            input_pos: Dict[int, List] = {}
-            for pos, node in self.placement.input_node.items():
-                input_pos.setdefault(node, []).append(pos)
-            maps.append({
-                node: (
-                    np.array([p[0] for p in sorted(pos)], dtype=np.intp),
-                    np.array([p[1] for p in sorted(pos)], dtype=np.intp),
-                )
-                for node, pos in input_pos.items()
-            })
-            for entry in self.graph.layers:
-                if entry.kind == "flatten":
-                    maps.append(None)
-                    continue
-                owned: Dict[int, List] = {}
-                for pos in entry.output_positions():
-                    node = self.placement.node_of(entry.index, pos)
-                    owned.setdefault(node, []).append(pos)
-                if entry.kind == "spatial":
-                    maps.append({
-                        node: (
-                            np.array([p[0] for p in pos], dtype=np.intp),
-                            np.array([p[1] for p in pos], dtype=np.intp),
-                        )
-                        for node, pos in owned.items()
-                    })
-                else:
-                    maps.append({
-                        node: np.array(pos, dtype=np.intp)
-                        for node, pos in owned.items()
-                    })
-            self._owner_index = maps
-        return self._owner_index
-
-    @staticmethod
-    def _dead_spatial_index(
-        index_map: SpatialIndex, dead: Set[int]
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        picks = [index_map[node] for node in sorted(dead) if node in index_map]
-        if not picks:
-            return None
-        return (
-            np.concatenate([p[0] for p in picks]),
-            np.concatenate([p[1] for p in picks]),
-        )
-
     def forward_masked(
         self, x: np.ndarray, dead_nodes: Iterable[int]
     ) -> np.ndarray:
@@ -383,12 +293,12 @@ class DistributedExecutor:
         the downstream consumers.  This is the paper's §V scenario:
         "a part of tiny IoT devices may be broken".
 
-        Masking is vectorized: the dead positions of each layer are
-        gathered from precomputed per-node index maps and zeroed with
-        one assignment (:meth:`forward_masked_reference` is the
-        per-position original, kept for the parity tests).
+        Runs through :meth:`forward_hooked` with hooks that zero each
+        layer's dead positions in one fancy-indexed assignment, gathered
+        from the placement index (:meth:`forward_masked_reference` is
+        the per-position original, kept for the parity tests).
         """
-        dead: Set[int] = set(dead_nodes)
+        dead = frozenset(dead_nodes)
         if not dead:
             return self.model.forward(x, training=False)
         tel = self._telemetry
@@ -396,46 +306,19 @@ class DistributedExecutor:
             tel.tracer.instant(
                 "exec.dead_set", nodes=sorted(dead), batch=int(x.shape[0])
             )
-        input_index, layer_spans = self._dead_indices(frozenset(dead))
-        x = np.array(x, copy=True)
-        if input_index is not None:
-            x[:, :, input_index[0], input_index[1]] = 0.0
-        out = x
-        for entry, span in zip(self.graph.layers, layer_spans):
-            out = entry.layer.forward(out, training=False)
-            if span is None:
-                continue
-            if entry.kind == "spatial":
-                out[:, :, span[0], span[1]] = 0.0
-            else:
-                out[:, span] = 0.0
-        return out
+        index = self.index
 
-    def _dead_indices(self, dead: frozenset):
-        """Concatenated dead-position indices, memoized per dead set
-        (a failure scenario is typically evaluated over many batches,
-        so the concatenation is paid once)."""
-        cached = self._dead_index_cache.get(dead)
-        if cached is not None:
-            return cached
-        maps = self._owner_indices()
-        input_index = self._dead_spatial_index(maps[0], dead)
-        layer_spans = []
-        for entry, index_map in zip(self.graph.layers, maps[1:]):
-            if index_map is None:
-                layer_spans.append(None)
-            elif entry.kind == "spatial":
-                layer_spans.append(self._dead_spatial_index(index_map, dead))
-            else:
-                picks = [index_map[n] for n in sorted(dead) if n in index_map]
-                layer_spans.append(
-                    np.concatenate(picks) if picks else None
-                )
-        if len(self._dead_index_cache) >= 64:
-            self._dead_index_cache.clear()
-        cached = (input_index, layer_spans)
-        self._dead_index_cache[dead] = cached
-        return cached
+        def zero(key: int, out: np.ndarray) -> np.ndarray:
+            sel = index.gather(key, dead)
+            if sel is not None:
+                out[sel] = 0.0
+            return out
+
+        return self.forward_hooked(
+            x,
+            input_hook=lambda arr: zero(INPUT, arr),
+            layer_hook=lambda entry, out: zero(entry.index, out),
+        )
 
     def forward_masked_reference(
         self, x: np.ndarray, dead_nodes: Iterable[int]

@@ -17,12 +17,14 @@ Two update modes:
   layers see truncated error signals.  No gradient messages are
   exchanged at all.
 
-Two implementations of the ``"local"`` backward coexist:
+Two implementations of the ``"local"`` backward coexist, both reading
+one stack of per-node masks per layer — built at construction time by
+comparing the :class:`~repro.core.placement_index.PlacementIndex`
+owner arrays against the layer's hosting nodes (ascending):
 
-- the **vectorized** path (default): the per-node masks are stacked
-  into one ``(n_nodes, …)`` tensor per layer at construction time, the
-  node axis is folded into the batch axis, and each masked layer runs
-  **one** batched kernel (:meth:`repro.nn.layers.base.Layer.backward_nodes`)
+- the **vectorized** path (default): the node axis of the stack is
+  folded into the batch axis, and each masked layer runs **one**
+  batched kernel (:meth:`repro.nn.layers.base.Layer.backward_nodes`)
   over the ``(n_nodes · batch, …)`` masked gradients, followed by a
   masked scatter-reduce over the node axis.  Parameter gradients are
   accumulated once from the node-collapsed gradient — exactly the sum
@@ -30,7 +32,7 @@ Two implementations of the ``"local"`` backward coexist:
   by one node.
 - the **reference** path (``backward_impl="reference"`` /
   :meth:`MicroDeepTrainer._backward_reference`): the original loop
-  calling one full ``layer.backward`` per hosting node per layer — the
+  calling one full ``layer.backward`` per row of the stack — the
   parity oracle the tests pin the vectorized path against.
 """
 
@@ -41,6 +43,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.assignment import Placement
+from repro.core.placement_index import PlacementIndex
 from repro.core.unitgraph import LayerUnits, UnitGraph
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.optimizers import Optimizer
@@ -50,20 +53,27 @@ from repro.nn.training import TrainingHistory
 class _StackedMasks:
     """One layer's per-node masks as stacked tensors.
 
-    ``nodes`` preserves the reference loop's per-node iteration order;
-    ``out_masks`` / ``in_masks`` stack that order along a leading node
+    ``nodes`` lists the layer's hosting nodes, ascending; ``out_masks``
+    / ``in_masks`` stack their masks in that order along a leading node
     axis shaped to broadcast against ``grad[np.newaxis]`` (spatial:
     ``(n_nodes, 1, 1, H, W)``; dense: ``(n_nodes, 1, U)``).
     """
 
     __slots__ = ("nodes", "out_masks", "in_masks")
 
-    def __init__(
-        self, nodes: List[int], out_masks: np.ndarray, in_masks: np.ndarray
-    ) -> None:
-        self.nodes = nodes
-        self.out_masks = out_masks
-        self.in_masks = in_masks
+    def __init__(self, index: PlacementIndex, entry: LayerUnits) -> None:
+        owners = index.layers[entry.index]
+        column = owners.nodes[:, np.newaxis]
+        out_masks = (owners.owner == column).astype(float)
+        in_masks = (index.input_owner(entry.index) == column).astype(float)
+        n = column.shape[0]
+        if entry.kind == "spatial":
+            self.out_masks = out_masks.reshape((n, 1, 1) + entry.out_hw)
+            self.in_masks = in_masks.reshape((n, 1, 1) + entry.in_hw)
+        else:
+            self.out_masks = out_masks.reshape(n, 1, -1)
+            self.in_masks = in_masks.reshape(n, 1, -1)
+        self.nodes: List[int] = owners.nodes.tolist()
 
 
 class MicroDeepTrainer:
@@ -120,112 +130,21 @@ class MicroDeepTrainer:
         self.loss = loss if loss is not None else CrossEntropyLoss()
         self.fault_adapter = fault_adapter
         self.backward_impl = backward_impl
-        # Placement is frozen for the trainer's lifetime, so both mask
-        # forms are built exactly once and never invalidated.
-        self._masks = self._build_masks() if update_mode == "local" else None
-        self._stacked = (
-            self._build_stacked() if update_mode == "local" else None
-        )
+        # Placement is frozen for the trainer's lifetime, so the mask
+        # stacks are built exactly once and never invalidated.
+        self._stacked: Optional[Dict[int, _StackedMasks]] = None
+        if update_mode == "local":
+            index = PlacementIndex(graph, placement)
+            self._stacked = {
+                entry.index: _StackedMasks(index, entry)
+                for entry in graph.layers
+                if entry.kind != "flatten" and not entry.layer.is_elementwise
+            }
         if telemetry is None:
             from repro.obs.runtime import current
 
             telemetry = current()
         self._telemetry = telemetry
-
-    # -- mask construction ---------------------------------------------------
-    def _input_owner_of_layer(self, entry: LayerUnits):
-        """Owner of each input slot of ``entry``.
-
-        Returns ``("spatial", {(y, x): node})`` or
-        ``("flat", {j: node})``.
-        """
-        prev_idx = entry.index - 1
-        while prev_idx >= 0 and self.graph.layers[prev_idx].kind == "flatten":
-            prev_idx -= 1
-        if prev_idx < 0:
-            return "spatial", dict(self.placement.input_node)
-        prev = self.graph.layers[prev_idx]
-        owners = {
-            slot: self.placement.node_of(prev.index, slot)
-            for slot in prev.output_positions()
-        }
-        if prev.kind == "spatial" and entry.kind == "flat":
-            # Crossing the flatten boundary: expand (y, x) ownership to
-            # flattened indices j = c*H*W + y*W + x.
-            h, w = prev.out_hw
-            c = prev.out_values
-            flat_owners = {}
-            for (y, x), node in owners.items():
-                for ch in range(c):
-                    flat_owners[ch * h * w + y * w + x] = node
-            return "flat", flat_owners
-        kind = "spatial" if prev.kind == "spatial" else "flat"
-        return kind, owners
-
-    def _build_masks(self) -> Dict[int, Dict[int, Tuple[np.ndarray, np.ndarray]]]:
-        """Per-layer, per-node (out_mask, in_mask) arrays.
-
-        Masks broadcast over the batch (and channel, for spatial
-        layers) dimensions.  Only layers that cut gradient flow get
-        masks: spatial non-elementwise and dense layers.
-        """
-        masks: Dict[int, Dict[int, Tuple[np.ndarray, np.ndarray]]] = {}
-        for entry in self.graph.layers:
-            if entry.kind == "flatten" or entry.layer.is_elementwise:
-                continue
-            in_kind, in_owner = self._input_owner_of_layer(entry)
-            per_node: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-            if entry.kind == "spatial":
-                h_out, w_out = entry.out_hw
-                h_in, w_in = entry.in_hw
-                nodes = {
-                    self.placement.node_of(entry.index, pos)
-                    for pos in entry.output_positions()
-                }
-                for node in nodes:
-                    out_mask = np.zeros((1, 1, h_out, w_out))
-                    for pos in entry.output_positions():
-                        if self.placement.node_of(entry.index, pos) == node:
-                            out_mask[0, 0, pos[0], pos[1]] = 1.0
-                    in_mask = np.zeros((1, 1, h_in, w_in))
-                    for pos, owner in in_owner.items():
-                        if owner == node:
-                            in_mask[0, 0, pos[0], pos[1]] = 1.0
-                    per_node[node] = (out_mask, in_mask)
-            else:  # dense
-                n_units = entry.n_units
-                n_in = entry.in_units
-                nodes = {
-                    self.placement.node_of(entry.index, u)
-                    for u in range(n_units)
-                }
-                for node in nodes:
-                    out_mask = np.zeros((1, n_units))
-                    for u in range(n_units):
-                        if self.placement.node_of(entry.index, u) == node:
-                            out_mask[0, u] = 1.0
-                    in_mask = np.zeros((1, n_in))
-                    for j, owner in in_owner.items():
-                        if owner == node:
-                            in_mask[0, j] = 1.0
-                    per_node[node] = (out_mask, in_mask)
-            masks[entry.index] = per_node
-        return masks
-
-    def _build_stacked(self) -> Dict[int, _StackedMasks]:
-        """Stack :attr:`_masks` per layer along a leading node axis.
-
-        Built once in ``__init__`` (placement is frozen); replaces the
-        dict-of-dicts lookups of the reference loop with one broadcast
-        multiply per layer.
-        """
-        stacked: Dict[int, _StackedMasks] = {}
-        for index, per_node in self._masks.items():
-            nodes = list(per_node)
-            out_masks = np.stack([per_node[n][0] for n in nodes])
-            in_masks = np.stack([per_node[n][1] for n in nodes])
-            stacked[index] = _StackedMasks(nodes, out_masks, in_masks)
-        return stacked
 
     # -- backward ------------------------------------------------------------
     def _backward(self, grad: np.ndarray) -> None:
@@ -303,8 +222,8 @@ class MicroDeepTrainer:
 
     def _backward_reference(self, grad: np.ndarray) -> None:
         """The retained per-node ``"local"`` loop — parity oracle for
-        the vectorized path (one full ``layer.backward`` per hosting
-        node per masked layer)."""
+        the vectorized path (one full ``layer.backward`` per row of the
+        layer's mask stack)."""
         down = (
             self.fault_adapter.down_nodes()
             if self.fault_adapter is not None
@@ -315,9 +234,11 @@ class MicroDeepTrainer:
             if entry.kind == "flatten" or layer.is_elementwise:
                 grad = layer.backward(grad)
                 continue
-            per_node = self._masks[entry.index]
+            stack = self._stacked[entry.index]
             total = None
-            for node, (out_mask, in_mask) in per_node.items():
+            for node, out_mask, in_mask in zip(
+                stack.nodes, stack.out_masks, stack.in_masks
+            ):
                 if down and node in down:
                     self.fault_adapter.on_update_skipped(entry.index, node)
                     continue

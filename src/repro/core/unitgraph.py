@@ -66,6 +66,11 @@ class UnitGraph:
         model: a built :class:`Sequential` whose input is spatial
             ``(C, H, W)``.
 
+    Attributes:
+        feeding: per layer, the index of the layer producing its inputs
+            — the nearest earlier non-flatten layer, or -1 for the
+            model input.
+
     Raises:
         ValueError: if the model is unbuilt or its input is not a 2-D
             grid.
@@ -83,10 +88,12 @@ class UnitGraph:
         self.input_hw: GridPos = (model.input_shape[1], model.input_shape[2])
         self.input_values = model.input_shape[0]
         self.layers: List[LayerUnits] = []
+        self.feeding: List[int] = []
         self._extract()
 
     def _extract(self) -> None:
         shape = self.input_shape
+        feeding = -1
         for idx, layer in enumerate(self.model.layers):
             out_shape = layer.output_shape(shape)
             if isinstance(layer, Flatten):
@@ -131,6 +138,9 @@ class UnitGraph:
                     "spatial -> flatten -> flat structure MicroDeep expects"
                 )
             self.layers.append(entry)
+            self.feeding.append(feeding)
+            if entry.kind != "flatten":
+                feeding = idx
             shape = out_shape
 
     @property

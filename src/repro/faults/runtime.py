@@ -23,6 +23,7 @@ from typing import Callable, Dict, Optional, Set
 import numpy as np
 
 from repro.core.executor import DistributedExecutor
+from repro.core.placement_index import INPUT
 from repro.faults.plan import FaultPlan
 from repro.faults.trace import FaultTrace
 from repro.sim.engine import Simulator
@@ -194,15 +195,6 @@ class ResilientExecutor:
         self._telemetry = current()
 
     # -- transfer replay ----------------------------------------------------
-    def _feeding_layer(self, layer_index: int) -> int:
-        """Index of the layer producing ``layer_index``'s inputs
-        (-1 for the model input)."""
-        prev = layer_index - 1
-        layers = self.executor.graph.layers
-        while prev >= 0 and layers[prev].kind == "flatten":
-            prev -= 1
-        return prev
-
     def _advance(self, dt: float) -> None:
         """Advance virtual time, firing any scheduled fault events."""
         self.sim.run(until=self.sim.now + dt)
@@ -264,42 +256,32 @@ class ResilientExecutor:
 
     # -- degraded forward ---------------------------------------------------
     def _substitute(
-        self, out: np.ndarray, layer_index: int, bad_nodes: Set[int],
-        positions_of: Callable[[int], list], spatial: bool,
+        self, out: np.ndarray, key: int, bad_nodes: Set[int]
     ) -> int:
-        """Replace every position owned by a bad node; returns the
-        substitution count after logging one record per node."""
-        if not bad_nodes:
-            self._stale[layer_index] = out.copy()
-            return 0
-        stale = self._stale.get(layer_index)
-        usable = (
-            self.policy.fallback == "stale"
-            and stale is not None
-            and stale.shape == out.shape
-        )
-        mode = "stale" if usable else "zero"
-        per_node: Dict[int, int] = {}
-        placement = self.executor.placement
-        for node in sorted(bad_nodes):
-            count = 0
-            for pos in positions_of(node):
-                if spatial:
-                    out[:, :, pos[0], pos[1]] = (
-                        stale[:, :, pos[0], pos[1]] if usable else 0.0
-                    )
-                else:
-                    out[:, pos] = stale[:, pos] if usable else 0.0
-                count += 1
-            if count:
-                per_node[node] = count
-        for node, count in sorted(per_node.items()):
-            self.trace.record(
-                self.sim.now, f"degrade.{mode}",
-                layer=layer_index, node=node, n_positions=count,
+        """Replace every position of grid ``key`` (a layer index, or
+        :data:`~repro.core.placement_index.INPUT`) owned by a bad node
+        in one fancy-indexed assignment; returns the substitution count
+        after logging one record per node."""
+        index = self.executor.index
+        positions = index.layers[key].positions
+        hit = sorted(node for node in bad_nodes if node in positions)
+        if hit:
+            stale = self._stale.get(key)
+            usable = (
+                self.policy.fallback == "stale"
+                and stale is not None
+                and stale.shape == out.shape
             )
-        self._stale[layer_index] = out.copy()
-        return sum(per_node.values())
+            sel = index.gather(key, frozenset(hit))
+            out[sel] = stale[sel] if usable else 0.0
+            mode = "stale" if usable else "zero"
+            for node in hit:
+                self.trace.record(
+                    self.sim.now, f"degrade.{mode}",
+                    layer=key, node=node, n_positions=len(positions[node]),
+                )
+        self._stale[key] = out.copy()
+        return sum(len(positions[node]) for node in hit)
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         """Degraded-but-complete forward pass under the active faults.
@@ -325,51 +307,31 @@ class ResilientExecutor:
 
     def _infer_inner(self, x: np.ndarray, span=None) -> np.ndarray:
         executor = self.executor
-        placement = executor.placement
+        feeding = executor.graph.feeding
         self.trace.record(
             self.sim.now, "exec.start",
             inference=self.inferences, batch=int(x.shape[0]),
         )
         failed = 0
         poisoned: Dict[int, Set[int]] = {}
-        for layer_index, src, dst, n_values in executor._transfers():
+        for layer_index, src, dst, n_values in executor.index.transfers:
             if not self._attempt_transfer(layer_index, src, dst, n_values):
                 failed += 1
-                poisoned.setdefault(
-                    self._feeding_layer(layer_index), set()
-                ).add(src)
+                poisoned.setdefault(feeding[layer_index], set()).add(src)
         down = self.tracker.down_nodes()
         substitutions = 0
 
-        input_nodes: Dict[int, list] = {}
-        for pos, node in placement.input_node.items():
-            input_nodes.setdefault(node, []).append(pos)
-
-        def input_hook(arr: np.ndarray) -> np.ndarray:
+        def substitute(key: int, out: np.ndarray) -> np.ndarray:
             nonlocal substitutions
-            bad = (down | poisoned.get(-1, set())) & set(input_nodes)
             substitutions += self._substitute(
-                arr, -1, bad,
-                lambda node: sorted(input_nodes[node]), spatial=True,
-            )
-            return arr
-
-        def layer_hook(entry, out: np.ndarray):
-            nonlocal substitutions
-            owners: Dict[int, list] = {}
-            for pos in entry.output_positions():
-                owners.setdefault(
-                    placement.node_of(entry.index, pos), []
-                ).append(pos)
-            bad = (down | poisoned.get(entry.index, set())) & set(owners)
-            substitutions += self._substitute(
-                out, entry.index, bad,
-                lambda node: owners[node], spatial=(entry.kind == "spatial"),
+                out, key, down | poisoned.get(key, set())
             )
             return out
 
         logits = executor.forward_hooked(
-            x, input_hook=input_hook, layer_hook=layer_hook
+            x,
+            input_hook=lambda arr: substitute(INPUT, arr),
+            layer_hook=lambda entry, out: substitute(entry.index, out),
         )
         self.trace.record(
             self.sim.now, "exec.done",

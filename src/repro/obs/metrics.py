@@ -122,8 +122,13 @@ class Histogram:
         return float("inf")
 
 
-def _label_key(labels: Dict[str, object]) -> LabelKey:
-    return tuple(sorted((k, canonical_value(v)) for k, v in labels.items()))
+def _canonical_items(items) -> LabelKey:
+    """Sorted ``(label, canonical value)`` pairs of ``(label, value)``
+    pairs — the label half of a series key."""
+    out = [(k, canonical_value(v)) for k, v in items]
+    if len(out) > 1:
+        out.sort()
+    return tuple(out)
 
 
 class MetricsRegistry:
@@ -137,7 +142,7 @@ class MetricsRegistry:
         return len(self._series)
 
     def _get(self, factory, name: str, labels: Dict[str, object]):
-        key = (str(name), _label_key(labels))
+        key = (str(name), _canonical_items(labels.items()))
         instrument = self._series.get(key)
         if instrument is None:
             instrument = factory()
@@ -167,6 +172,22 @@ class MetricsRegistry:
             raise TypeError(f"series {name!r} is a {instrument.kind}")
         return instrument
 
+    def inc_counters(self, name: str, increments) -> None:
+        """Bulk :meth:`counter` + ``inc`` over one series family, for
+        collectors that push many label sets per :meth:`collect`:
+        ``increments`` yields ``(label_items, amount)`` with
+        ``label_items`` a tuple of ``(label, value)`` pairs."""
+        series = self._series
+        name = str(name)
+        for label_items, amount in increments:
+            key = (name, _canonical_items(label_items))
+            instrument = series.get(key)
+            if instrument is None:
+                instrument = series[key] = Counter()
+            elif not isinstance(instrument, Counter):
+                raise TypeError(f"series {name!r} is a {instrument.kind}")
+            instrument.inc(amount)
+
     # -- pull model ---------------------------------------------------------
     def register_collector(
         self, callback: Callable[["MetricsRegistry"], None]
@@ -191,7 +212,8 @@ class MetricsRegistry:
 
     def value(self, name: str, **labels) -> float:
         """Current value of a counter/gauge series (0.0 when absent)."""
-        instrument = self._series.get((str(name), _label_key(labels)))
+        key = (str(name), _canonical_items(labels.items()))
+        instrument = self._series.get(key)
         if instrument is None:
             return 0.0
         if isinstance(instrument, Histogram):

@@ -224,8 +224,9 @@ class FlightRecorder:
         #: registry series key -> (flat key, name, labels dict); the
         #: flat-key strings are hot-path-expensive to rebuild per tick.
         self._key_cache: Dict = {}
-        #: (registry dict, len, entries) — the sorted entry list is
-        #: reused while the registry holds the same series set.  The
+        #: (registry dict, len, entries, sorted (series key, cached)
+        #: pairs) — the entry list is reused while the registry holds
+        #: the same series set, its order after a same-set refill.  The
         #: strong dict reference makes the identity check sound (a
         #: cleared registry swaps in a new dict; ids cannot be reused
         #: while the old one is held here).
@@ -271,12 +272,24 @@ class FlightRecorder:
                 for name, labels, instrument in metrics.series()
             ]
         cached_entries = self._entries_cache
-        if (cached_entries is not None
-                and cached_entries[0] is raw
-                and cached_entries[1] == len(raw)):
-            return cached_entries[2]
+        if cached_entries is not None and cached_entries[1] == len(raw):
+            if cached_entries[0] is raw:
+                return cached_entries[2]
+            # A registry cleared between runs and refilled with the same
+            # series: every old key still present at the same count
+            # means the same key set, so the sorted order stands and
+            # only the instruments are new.
+            order = cached_entries[3]
+            try:
+                entries = [(keys, raw[skey]) for skey, keys in order]
+            except KeyError:
+                pass
+            else:
+                self._entries_cache = (raw, len(raw), entries, order)
+                return entries
         cache = self._key_cache
         entries = []
+        order = []
         for skey in sorted(raw):
             cached = cache.get(skey)
             if cached is None:
@@ -284,7 +297,8 @@ class FlightRecorder:
                 cached = (series_key(skey[0], labels), skey[0], labels)
                 cache[skey] = cached
             entries.append((cached, raw[skey]))
-        self._entries_cache = (raw, len(raw), entries)
+            order.append((skey, cached))
+        self._entries_cache = (raw, len(raw), entries, order)
         return entries
 
     def sample(self) -> TimelineSample:

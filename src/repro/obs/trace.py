@@ -26,6 +26,8 @@ from typing import Callable, Dict, List, Optional
 
 def canonical_value(value):
     """Coerce an attribute value into a JSON-stable python type."""
+    if type(value) in (bool, int, float, str, type(None)):
+        return value  # exact types only: numpy scalars coerce below
     if isinstance(value, bool):
         return value
     if isinstance(value, int):

@@ -22,7 +22,6 @@ Workloads:
   fancy-indexed zeroing vs. the per-position hook loop;
 - ``im2col_unfold`` — pooling-regime patch extraction with the
   memoized gather plan vs. the reference kernel loop;
-- ``sim_event_throughput`` — event drain via ``run_batch`` vs ``run``;
 - ``local_backward`` — one distributed ``"local"`` backward pass,
   batched ``backward_nodes`` kernels vs. the retained per-node
   reference loop; parameter-gradient parity and counter-exact
@@ -89,7 +88,6 @@ from repro.perf.timing import (
     input_digest,
     measure,
 )
-from repro.sim.engine import Simulator
 from repro.wsn.choco import ChocoCollector
 from repro.wsn.network import Message, Network
 from repro.wsn.node import SensorNode
@@ -143,11 +141,11 @@ def bench_traffic_replay(protocol: BenchProtocol, seed: int, quick: bool) -> Dic
     batch = 8 if quick else 32
     input_hw = (10, 10) if quick else (12, 12)
     __, __, __, __, network, executor = _scenario(seed, input_hw, (4, 4))
-    executor._transfers()  # build the transfer list outside the timers
+    executor.index.groups  # build the transfer groups outside the timers
     counters = CounterRegistry()
 
     network.reset_stats()
-    executor.replay_traffic(batch, per_element=True)
+    executor.replay_traffic_reference(batch)
     _stats_counters(network, "reference", counters)
     network.reset_stats()
     executor.replay_traffic(batch)
@@ -159,7 +157,7 @@ def bench_traffic_replay(protocol: BenchProtocol, seed: int, quick: bool) -> Dic
         protocol, setup=network.reset_stats,
     )
     reference = measure(
-        lambda __: executor.replay_traffic(batch, per_element=True),
+        lambda __: executor.replay_traffic_reference(batch),
         protocol, setup=network.reset_stats,
     )
     network.reset_stats()
@@ -190,13 +188,16 @@ def bench_forward_e2e(protocol: BenchProtocol, seed: int, quick: bool) -> Dict:
     # comparison).
     executor.forward(x, count_traffic=False, plan=None)  # caches, untimed
 
+    def forward_reference(__) -> np.ndarray:
+        executor.replay_traffic_reference(batch)
+        return executor.model.forward(x, training=False)
+
     timing = measure(
         lambda __: executor.forward(x, plan=None),
         protocol, setup=network.reset_stats,
     )
     reference = measure(
-        lambda __: executor.forward(x, per_element=True),
-        protocol, setup=network.reset_stats,
+        forward_reference, protocol, setup=network.reset_stats,
     )
     network.reset_stats()
     return {
@@ -352,51 +353,6 @@ def bench_im2col_unfold(protocol: BenchProtocol, seed: int, quick: bool) -> Dict
         "timing": timing.to_dict(),
         "reference_timing": reference.to_dict(),
         "speedup": reference.best_s / timing.best_s,
-    }
-
-
-def bench_sim_events(protocol: BenchProtocol, seed: int, quick: bool) -> Dict:
-    # The realistic drain pattern: bounded run(until=...) slices (how
-    # the MAC simulations and the fault runtime advance virtual time),
-    # where run() re-peeks the heap before every event; run_batch pops
-    # each event exactly once.
-    n_events = 2_000 if quick else 20_000
-    n_slices = 50 if quick else 200
-    rng = np.random.default_rng(seed + 4)
-    # Coarse-grained times: long same-time runs exercise the tie-break.
-    times = np.sort(rng.integers(0, max(1, n_events // 8), size=n_events)) / 10.0
-    horizon = float(times[-1])
-    slices = [horizon * (i + 1) / n_slices for i in range(n_slices)]
-
-    def _noop() -> None:
-        pass
-
-    def fresh_sim() -> Simulator:
-        sim = Simulator()
-        for t in times:
-            sim.schedule(float(t), _noop)
-        return sim
-
-    def drain_batch(sim: Simulator) -> None:
-        for until in slices:
-            sim.run_batch(until=until)
-
-    def drain_run(sim: Simulator) -> None:
-        for until in slices:
-            sim.run(until=until)
-
-    timing = measure(drain_batch, protocol, setup=fresh_sim)
-    reference = measure(drain_run, protocol, setup=fresh_sim)
-    return {
-        "name": "sim_event_throughput",
-        "params": {"n_events": n_events, "n_slices": n_slices, "seed": seed},
-        "input_digest": input_digest(
-            times, extra=f"sim_events seed={seed} n={n_events}"
-        ),
-        "timing": timing.to_dict(),
-        "reference_timing": reference.to_dict(),
-        "speedup": reference.best_s / timing.best_s,
-        "counters": {"events_processed": float(n_events)},
     }
 
 
@@ -1225,7 +1181,6 @@ _BENCHMARKS = (
     bench_forward_plan,
     bench_forward_masked,
     bench_im2col_unfold,
-    bench_sim_events,
     bench_local_backward,
     bench_train_epoch,
     bench_telemetry_overhead,

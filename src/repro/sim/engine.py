@@ -112,8 +112,8 @@ class Simulator:
 
     def _fire_traced(self, event: Event) -> None:
         """Dispatch one event inside a ``sim.event`` span (same span
-        shape from :meth:`run`, :meth:`run_batch`, and :meth:`step`,
-        so traces are identical across drain strategies)."""
+        shape from :meth:`run` and :meth:`step`, so traces are
+        identical across drain strategies)."""
         with self._telemetry.tracer.span(
             "sim.event",
             name=event.name or getattr(event.callback, "__name__", "event"),
@@ -170,56 +170,6 @@ class Simulator:
                     break
                 self.step()
                 executed += 1
-            else:
-                if until is not None and until > self._now:
-                    self._now = until
-        finally:
-            self._running = False
-        return self._now
-
-    def run_batch(
-        self, until: Optional[float] = None, max_events: Optional[int] = None
-    ) -> float:
-        """Drain events like :meth:`run`, without per-event re-peeking.
-
-        :meth:`run` walks the heap twice per event (``peek_time`` then
-        ``step``); this fast path pops each event exactly once and
-        requeues the single overshoot event when it lies beyond
-        ``until``, preserving the original sequence number so ordering
-        is untouched.  Semantics are identical to :meth:`run` — same
-        final :attr:`now`, same :attr:`processed`, same event order —
-        a property the ``-m perf`` suite pins.
-
-        Returns:
-            The virtual time when the run stopped.
-
-        Raises:
-            SimulationError: when called re-entrantly from a handler.
-        """
-        if self._running:
-            raise SimulationError(
-                "run_batch() called re-entrantly from an event handler"
-            )
-        executed = 0
-        queue = self._queue
-        traced = self._telemetry.enabled
-        self._running = True
-        try:
-            while queue:
-                if max_events is not None and executed >= max_events:
-                    break
-                event = queue.pop()
-                if until is not None and event.time > until:
-                    queue.requeue(event)
-                    self._now = until
-                    break
-                self._now = event.time
-                self._processed += 1
-                executed += 1
-                if traced:
-                    self._fire_traced(event)
-                else:
-                    event.fire()
             else:
                 if until is not None and until > self._now:
                     self._now = until

@@ -69,14 +69,6 @@ class EventQueue:
             event.cancel()
             self._live -= 1
 
-    def requeue(self, event: Event) -> None:
-        """Push back a just-popped live event, keeping its original
-        sequence number so the (time, priority, insertion) order is
-        unchanged — the drain fast path uses this to return an event
-        it popped past the run horizon."""
-        heapq.heappush(self._heap, (event.sort_key, event))
-        self._live += 1
-
     def pop(self) -> Event:
         """Remove and return the earliest live event.
 

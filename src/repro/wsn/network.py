@@ -350,28 +350,36 @@ class Network:
         stats = self.stats
         pushed = self._pushed
 
-        def push(name: str, value, **labels) -> None:
-            key = (name,) + tuple(sorted(labels.items()))
-            delta = value - pushed.get(key, 0.0)
-            if delta:
-                registry.counter(name, **labels).inc(delta)
-                pushed[key] = float(value)
+        def push(name: str, values) -> None:
+            # ``values`` yields (sorted (label, value) pairs, stat);
+            # reset_stats unpacks the (name, *pairs) ``_pushed`` keys.
+            increments = []
+            for labels, value in values:
+                key = (name,) + labels
+                delta = value - pushed.get(key, 0.0)
+                if delta:
+                    increments.append((labels, delta))
+                    pushed[key] = float(value)
+            if increments:
+                registry.inc_counters(name, increments)
 
-        push("net.sent", stats.sent)
-        push("net.delivered", stats.delivered)
-        push("net.dropped", stats.dropped)
-        push("net.corrupted", stats.corrupted)
-        push("net.duplicated", stats.duplicated)
-        push("net.hops", stats.total_hops)
-        for cause, value in stats.dropped_causes.items():
-            push("net.dropped_causes", value, cause=cause)
-        for node, value in stats.per_node_rx_values.items():
-            push("net.rx_values", value, node=node)
-        for node, value in stats.per_node_tx_values.items():
-            push("net.tx_values", value, node=node)
+        push("net.sent", [((), stats.sent)])
+        push("net.delivered", [((), stats.delivered)])
+        push("net.dropped", [((), stats.dropped)])
+        push("net.corrupted", [((), stats.corrupted)])
+        push("net.duplicated", [((), stats.duplicated)])
+        push("net.hops", [((), stats.total_hops)])
+        for name, label, values in (
+            ("net.dropped_causes", "cause", stats.dropped_causes),
+            ("net.rx_values", "node", stats.per_node_rx_values),
+            ("net.tx_values", "node", stats.per_node_tx_values),
+        ):
+            push(name, [(((label, k),), v) for k, v in values.items()])
         if self._link_values:
-            for (src, dst), value in self._link_values.items():
-                push("net.link_values", value, src=src, dst=dst)
+            push("net.link_values", [
+                ((("dst", dst), ("src", src)), value)
+                for (src, dst), value in self._link_values.items()
+            ])
 
     def telemetry_drift(self) -> List[str]:
         """Reconciliation assertion: re-derive every tally from its

@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    CompiledPlan,
     DistributedExecutor,
     PlanNotCompilable,
     UnitGraph,
@@ -158,36 +157,26 @@ class TestCompiledParity:
         ref = ex.forward(x, count_traffic=False, plan=None)
         assert out.tobytes() == ref.tobytes()
 
-    def test_explicit_plan_object_accepted(self):
-        model, graph, topo = make("conv_pool")
-        placement = grid_correspondence_assignment(graph, topo)
-        net = Network(topo)
-        ex = DistributedExecutor(model, graph, placement, net)
-        plan = compile_plan(ex)
-        assert isinstance(plan, CompiledPlan)
-        x = make_batch("conv_pool", 2)
-        out = ex.forward(x, plan=plan)
-        ref = ex.forward(x, plan=None)
-        assert out.tobytes() == ref.tobytes()
-
     def test_foreign_plan_rejected(self):
+        """``forward`` takes ``"auto"`` or None; a plan object — this
+        executor's or a foreign one — is refused, not silently run."""
         model, graph, topo = make("conv_pool")
         placement = grid_correspondence_assignment(graph, topo)
         ex_a = DistributedExecutor(model, graph, placement, Network(topo))
         ex_b = DistributedExecutor(model, graph, placement, Network(topo))
         plan_a = compile_plan(ex_a)
-        with pytest.raises(ValueError, match="different network"):
-            ex_b.forward(make_batch("conv_pool", 1), plan=plan_a)
+        for ex in (ex_a, ex_b):
+            with pytest.raises(ValueError, match="'auto' or None"):
+                ex.forward(make_batch("conv_pool", 1), plan=plan_a)
 
     @pytest.mark.parametrize("kind", sorted(MODELS))
     def test_masked_dead_nodes_identical(self, kind):
-        """run_masked == forward_masked byte for byte, across dead
-        sets including hosts of input cells, conv units, and dense
-        units."""
+        """forward_masked == forward_masked_reference byte for byte,
+        across dead sets including hosts of input cells, conv units,
+        and dense units."""
         model, graph, topo = make(kind)
         placement = grid_correspondence_assignment(graph, topo)
         ex = DistributedExecutor(model, graph, placement, Network(topo))
-        plan = compile_plan(ex)
         x = make_batch(kind, 4)
         node_ids = sorted(topo.nodes)
         dead_sets = [
@@ -198,8 +187,8 @@ class TestCompiledParity:
             list(RNG.choice(node_ids, size=3, replace=False).astype(int)),
         ]
         for dead in dead_sets:
-            got = plan.run_masked(x, dead)
-            want = ex.forward_masked(x, dead)
+            got = ex.forward_masked(x, dead)
+            want = ex.forward_masked_reference(x, dead)
             assert got.tobytes() == want.tobytes(), f"dead={dead}"
 
     @pytest.mark.parametrize("kind", sorted(MODELS))
@@ -356,12 +345,12 @@ class TestFallbackTriggers:
                 ex.compiled_plan()
             assert err.value.reason == "fault-adapter"
 
-    def test_per_element_forces_event_path(self):
+    def test_plan_none_forces_event_path(self):
         model, graph, topo = make("conv_pool")
         placement = grid_correspondence_assignment(graph, topo)
         net = Network(topo)
         ex = DistributedExecutor(model, graph, placement, net)
-        ex.forward(make_batch("conv_pool", 2), per_element=True)
+        ex.forward(make_batch("conv_pool", 2), plan=None)
         assert ex._compiled_plan is None
 
     def test_fallback_counter_carries_reason(self):
@@ -382,6 +371,62 @@ class TestFallbackTriggers:
             assert rows[
                 ("exec.plan_fallbacks", (("reason", "node-down"),))
             ] == 1.0
+
+
+def demo_model():
+    """The fault demo's CNN on an 8x8 field over a 3x3 grid."""
+    model = Sequential([Conv2D(2, 3), ReLU(), Flatten(), Dense(2)])
+    model.build((1, 8, 8), np.random.default_rng(0))
+    graph = UnitGraph(model)
+    topo = GridTopology(3, 3)
+    return model, graph, topo, grid_correspondence_assignment(graph, topo)
+
+
+def move(topo, node_id, dx, dy):
+    x, y = topo.node(node_id).position
+    topo.node(node_id).position = (x + dx, y + dy)
+
+
+class TestTopologyEpoch:
+    """A compiled plan holds only for the topology state it was
+    compiled against: moving a node changes routes, so the next
+    forward must recompile (or re-judge compilability)."""
+
+    def test_compiled_matches_oracle_after_move(self):
+        model, graph, topo, placement = demo_model()
+        x = np.random.default_rng(1).normal(size=(4, 1, 8, 8))
+        net = Network(topo)
+        ex = DistributedExecutor(model, graph, placement, net)
+        ex.forward(x)
+        move(topo, 4, 0.675, 0.675)
+        net.reset_stats()
+        ex.forward(x)
+        assert ex._compiled_plan is not None
+        compiled = stats_snapshot(net)
+        net.reset_stats()
+        ex.forward(x, plan=None)
+        oracle = stats_snapshot(net)
+        assert compiled == oracle
+        assert oracle["total_hops"] == 896
+        assert oracle["rx"][5] == 224
+
+    def test_unroutable_verdict_heals_after_move(self):
+        model, graph, topo, placement = demo_model()
+        x = np.random.default_rng(1).normal(size=(2, 1, 8, 8))
+        net = Network(topo)
+        ex = DistributedExecutor(model, graph, placement, net)
+        move(topo, 4, 10.0, 10.0)  # out of every neighbour's range
+        ex.forward(x)
+        assert ex._compiled_plan is None
+        assert ex._plan_uncompilable == "unroutable"
+        move(topo, 4, -10.0, -10.0)  # back on the grid
+        net.reset_stats()
+        ex.forward(x)
+        assert ex._compiled_plan is not None
+        compiled = stats_snapshot(net)
+        net.reset_stats()
+        ex.forward(x, plan=None)
+        assert compiled == stats_snapshot(net)
 
 
 @pytest.mark.perf
@@ -481,7 +526,7 @@ class TestCompiledProperties:
         link_packets = Counter()
         link_values = Counter()
         sent = 0
-        for (layer, src, dst, n_values), mult in ex._aggregated_transfers():
+        for (layer, src, dst, n_values), mult in ex.index.groups:
             route = shortest_path_route(topo, src, dst)
             assert route is not None
             sent += mult

@@ -52,6 +52,25 @@ class TestCostModel:
         spread = cm.inference_cost(grid_correspondence_assignment(graph, topo))
         assert spread.max_rx() < central.max_rx()
 
+    def test_routes_follow_a_node_move(self):
+        """The route cache is keyed on the topology epoch: after a node
+        moves, the same model prices the new routes, exactly like a
+        freshly built one."""
+        model = Sequential([Conv2D(2, 3), ReLU(), Flatten(), Dense(2)])
+        model.build((1, 8, 8), np.random.default_rng(0))
+        graph = UnitGraph(model)
+        topo = GridTopology(3, 3)
+        placement = grid_correspondence_assignment(graph, topo)
+        cm = CommunicationCostModel(graph, topo)
+        before = cm.inference_cost(placement)
+        x, y = topo.node(4).position
+        topo.node(4).position = (x + 0.675, y + 0.675)
+        moved = cm.inference_cost(placement)
+        fresh = CommunicationCostModel(graph, topo).inference_cost(placement)
+        assert (before.total_rx(), before.max_rx()) == (272, 88)
+        assert (moved.total_rx(), moved.max_rx()) == (336, 108)
+        assert moved.rx_values == fresh.rx_values
+
     def test_grid_correspondence_beats_random_total(self):
         model, graph, topo = make()
         cm = CommunicationCostModel(graph, topo)

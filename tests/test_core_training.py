@@ -156,26 +156,11 @@ class TestLocalMode:
                 graph, placement, SGD(lr=0.1), backward_impl="looped"
             )
 
-    def test_masks_built_exactly_once_across_fits(self, monkeypatch):
-        """Both mask forms are construction-time artifacts: repeated
+    def test_masks_built_exactly_once_across_fits(self):
+        """The mask stacks are construction-time artifacts: repeated
         ``fit``/``evaluate`` calls must never rebuild them."""
-        calls = {"masks": 0, "stacked": 0}
-        orig_masks = MicroDeepTrainer._build_masks
-        orig_stacked = MicroDeepTrainer._build_stacked
-
-        def counting_masks(self):
-            calls["masks"] += 1
-            return orig_masks(self)
-
-        def counting_stacked(self):
-            calls["stacked"] += 1
-            return orig_stacked(self)
-
-        monkeypatch.setattr(MicroDeepTrainer, "_build_masks", counting_masks)
-        monkeypatch.setattr(
-            MicroDeepTrainer, "_build_stacked", counting_stacked
-        )
         trainer = self._trainer("local", seed=4)
+        built = dict(trainer._stacked)
         rng = np.random.default_rng(11)
         x = rng.normal(size=(12, 1, 10, 10))
         y = rng.integers(0, 2, size=12)
@@ -184,7 +169,8 @@ class TestLocalMode:
         trainer.fit(x, y, epochs=1, batch_size=6,
                     rng=np.random.default_rng(1))
         trainer.evaluate(x, y)
-        assert calls == {"masks": 1, "stacked": 1}
+        assert trainer._stacked.keys() == built.keys()
+        assert all(trainer._stacked[i] is built[i] for i in built)
 
 
 class TestEmptyDataset:

@@ -18,6 +18,11 @@ And ``repro.serve`` (outside its clock shim, ``serve/clock.py``) may
 not touch raw timing primitives — no ``time`` imports, no
 ``asyncio.sleep`` with a literal delay — so the fake-clock test
 harness stays authoritative over every batching window.
+
+Placement reads (``node_of``, ``input_node``, ``unit_node``) belong to
+the placement, its :class:`~repro.core.PlacementIndex`, the one
+transfer derivation, and ``*_reference`` oracles: every other consumer
+reads the index, so owner maps cannot be rebuilt on the side again.
 """
 
 import ast
@@ -468,3 +473,86 @@ def test_sim_lint_detects_violations():
         "from repro.core.compiled.plan import CompiledPlan\n",
     ):
         assert not sim_imports_any_scope(ast.parse(src)), src
+
+
+def test_compiled_package_never_imports_networkx():
+    """Compiled plans route through the network's own router, so the
+    plan and the event-driven path cannot disagree on a path."""
+    offenders = []
+    for path in sorted((SRC / "core" / "compiled").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for lineno in networkx_imports_any_scope(tree):
+            offenders.append(f"{path.relative_to(SRC.parent)}:{lineno}")
+    assert offenders == [], (
+        "repro.core.compiled must route through Network.router, not "
+        f"networkx: {offenders}"
+    )
+
+
+#: Placement attributes only the placement's owners may read.
+_PLACEMENT_READS = {"node_of", "node_of_input", "input_node", "unit_node"}
+#: Files that own the placement: the mapping itself and its index.
+_PLACEMENT_FILES = ("core/assignment.py", "core/placement_index.py")
+#: The one transfer derivation, by file and function name.
+_TRANSFER_DERIVATION = {
+    "core/costmodel.py": frozenset({"_input_groups", "_layer_transfers"}),
+}
+
+
+def placement_reads(tree, allowed=frozenset()):
+    """Line numbers reading a placement attribute outside functions
+    named ``*_reference`` or listed in ``allowed`` (nested functions
+    inherit the exemption)."""
+    offenders = []
+    stack = [(node, False) for node in tree.body]
+    while stack:
+        node, exempt = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            exempt = (exempt or node.name.endswith("_reference")
+                      or node.name in allowed)
+        elif (isinstance(node, ast.Attribute)
+              and node.attr in _PLACEMENT_READS and not exempt):
+            offenders.append(node.lineno)
+        stack.extend((child, exempt) for child in ast.iter_child_nodes(node))
+    return offenders
+
+
+def test_placement_read_only_through_the_index():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        name = path.relative_to(SRC).as_posix()
+        if name in _PLACEMENT_FILES:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = _TRANSFER_DERIVATION.get(name, frozenset())
+        for lineno in placement_reads(tree, allowed):
+            offenders.append(f"{path.relative_to(SRC.parent)}:{lineno}")
+    assert offenders == [], (
+        "read placement owners through PlacementIndex, not the "
+        f"placement dicts: {offenders}"
+    )
+
+
+def test_placement_lint_detects_violations():
+    for src in (
+        "p.node_of(0, (0, 0))\n",
+        "def f(p):\n    return p.input_node\n",
+        "def f(p):\n    return p.unit_node[(1, 0)]\n",
+        "class A:\n    def g(self):\n"
+        "        return self.placement.node_of_input((0, 0))\n",
+        "def reference(p):\n    return p.node_of(0, 0)\n",
+    ):
+        assert placement_reads(ast.parse(src)), src
+    for src in (
+        "def forward_reference(p):\n    return p.node_of(0, 0)\n",
+        "def run_reference(p):\n    def hook():\n"
+        "        return p.input_node\n    return hook\n",
+        "def f(index):\n    return index.layers[0].owner\n",
+        "def f(p):\n    return p.nodes\n",
+    ):
+        assert not placement_reads(ast.parse(src)), src
+    derivation = "def _layer_transfers(p):\n    return p.node_of(0, 0)\n"
+    assert placement_reads(ast.parse(derivation))
+    assert not placement_reads(
+        ast.parse(derivation), frozenset({"_layer_transfers"})
+    )

@@ -119,6 +119,31 @@ class TestRegistry:
         reg.collect()
         assert reg.value("c") == 1
 
+    def test_inc_counters_matches_per_series_counter(self):
+        bulk, single = MetricsRegistry(), MetricsRegistry()
+        increments = [
+            ((), 2.0),
+            ((("src", 5), ("dst", 3)), 7),  # unsorted pairs
+            ((("dst", 3), ("src", 5)), 1),  # same series, sorted
+            ((("node", True),), 1.5),
+        ]
+        for registry in (bulk, single):
+            registry.counter("net.link", src=9, dst=9).inc(4)
+        bulk.inc_counters("net.link", increments)
+        for label_items, amount in increments:
+            single.counter("net.link", **dict(label_items)).inc(amount)
+        assert bulk.snapshot() == single.snapshot()
+        assert bulk.value("net.link", src=5, dst=3) == 8
+        assert bulk.value("net.link", src=9, dst=9) == 4
+
+    def test_inc_counters_keeps_counter_rules(self):
+        reg = MetricsRegistry()
+        with pytest.raises(ValueError, match="only go up"):
+            reg.inc_counters("c", [((("node", 1),), -1)])
+        reg.gauge("g", node=1)
+        with pytest.raises(TypeError, match="gauge"):
+            reg.inc_counters("g", [((("node", 1),), 1)])
+
 
 class TestNullMetrics:
     def test_shared_inert_instruments(self):

@@ -128,6 +128,29 @@ class TestSampling:
         assert [i for i, _ in seen] == [0, 1]
         assert all(r is rec for _, r in seen)
 
+    def test_registry_cleared_between_ticks_reads_new_series(self):
+        """A cleared registry refilled with the same series set (the
+        per-run clear pattern) must be read through its new
+        instruments; a refill with a different set of the same size
+        must show the new set."""
+        tel = Telemetry()
+        rec = _recorder(tel)
+        tel.metrics.counter("a", node=1).inc(1)
+        tel.metrics.counter("a", node=2).inc(2)
+        rec.sample()
+        tel.metrics.clear()
+        tel.metrics.counter("a", node=2).inc(20)
+        tel.metrics.counter("a", node=1).inc(10)
+        s1 = rec.sample()
+        assert list(s1.points) == ["a{node=1}", "a{node=2}"]
+        assert [p.value for p in s1.points.values()] == [10.0, 20.0]
+        tel.metrics.clear()
+        tel.metrics.counter("a", node=1).inc(11)
+        tel.metrics.counter("b").inc(5)
+        s2 = rec.sample()
+        assert list(s2.points) == ["a{node=1}", "b"]
+        assert [p.value for p in s2.points.values()] == [11.0, 5.0]
+
 
 class TestRingBuffer:
     def test_drop_oldest_and_dropped_counter(self):

@@ -44,7 +44,6 @@ class TestBenchCli:
         names = [b["name"] for b in report["benchmarks"]]
         assert "traffic_replay_batched" in names
         assert "forward_masked_dead20" in names
-        assert "sim_event_throughput" in names
         assert "sweep_scaling" in names
         assert "city_scale" in names
 
@@ -163,7 +162,7 @@ class TestBenchCli:
         serial_names = [
             "im2col_unfold", "forward_e2e", "forward_plan",
             "forward_masked_dead20", "local_backward", "train_epoch",
-            "sim_event_throughput", "traffic_replay_batched",
+            "traffic_replay_batched",
             "telemetry_overhead", "timeline_overhead", "sweep_scaling",
             "serve_throughput", "city_scale",
         ]

@@ -81,7 +81,8 @@ class TestReplayParity:
 
             net_ref = Network(topo)
             ex_ref = DistributedExecutor(model, graph, placement, net_ref)
-            out_ref = ex_ref.forward(x, per_element=True)
+            ex_ref.replay_traffic_reference(batch)
+            out_ref = model.forward(x)
             ref = stats_snapshot(net_ref)
             net_ref.reset_stats()
 
@@ -167,9 +168,15 @@ class TestMaskedParity:
         ex = DistributedExecutor(model, graph, placement, Network(topo))
         x = RNG.normal(size=(1, 1, 10, 10))
         first = ex.forward_masked(x, [3, 7])
-        assert frozenset({3, 7}) in ex._dead_index_cache
+        gathers = [
+            ex.index.gather(key, frozenset({3, 7})) for key in ex.index.layers
+        ]
         second = ex.forward_masked(x, [7, 3])  # same set, memo hit
         assert first.tobytes() == second.tobytes()
+        assert all(
+            ex.index.gather(key, frozenset({7, 3})) is sel
+            for key, sel in zip(ex.index.layers, gathers)
+        )
 
 
 class TestIm2colParity:

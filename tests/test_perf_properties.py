@@ -1,10 +1,8 @@
 """Property tests (``-m perf``) for the vectorized hot paths.
 
-Randomized placements, topologies, and event schedules check the
-*invariants* the vectorization must conserve, rather than specific
-values: aggregated traffic replay keeps the transfer multiset and its
-layer ordering, and ``run_batch`` is observationally identical to
-repeated ``step()`` / sliced ``run()``.
+Randomized placements and topologies check the *invariants* the
+vectorization must conserve, rather than specific values: aggregated
+traffic replay keeps the transfer multiset and its layer ordering.
 """
 
 from collections import Counter
@@ -21,7 +19,6 @@ from repro.core import (
     round_robin_assignment,
 )
 from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, ReLU, Sequential
-from repro.sim import Simulator
 from repro.wsn import GridTopology, Network
 
 pytestmark = pytest.mark.perf
@@ -87,7 +84,7 @@ class TestReplayConservation:
 
         spy_ref = SpyNetwork(topo)
         ex_ref = DistributedExecutor(model, graph, placement, spy_ref)
-        ex_ref.replay_traffic(batch, per_element=True)
+        ex_ref.replay_traffic_reference(batch)
 
         def multiset(log):
             counts = Counter()
@@ -112,9 +109,9 @@ class TestReplayConservation:
             batch
         )
         net_ref = Network(topo)
-        DistributedExecutor(model, graph, placement, net_ref).replay_traffic(
-            batch, per_element=True
-        )
+        DistributedExecutor(
+            model, graph, placement, net_ref
+        ).replay_traffic_reference(batch)
         assert dict(net_fast.stats.per_node_rx_values) == (
             dict(net_ref.stats.per_node_rx_values)
         )
@@ -135,146 +132,3 @@ class TestReplayConservation:
         DistributedExecutor(model, graph, placement, spy).replay_traffic(2)
         layers = [int(kind[len("layer"):]) for __, __, __, kind, __ in spy.log]
         assert layers == sorted(layers)
-
-
-def record(trace, tag):
-    def handler():
-        trace.append(tag)
-    return handler
-
-
-def schedule_random_workload(sim, rng, trace, n=60):
-    """Random times with heavy ties, priorities, and cancellations."""
-    events = []
-    for i in range(n):
-        delay = float(rng.integers(0, 10)) / 2.0
-        priority = int(rng.integers(-2, 3))
-        events.append(
-            sim.schedule(delay, record(trace, i), priority=priority)
-        )
-    for i in rng.choice(n, size=n // 5, replace=False):
-        sim.cancel(events[int(i)])
-    return events
-
-
-class TestRunBatchEquivalence:
-    @pytest.mark.parametrize("trial", range(10))
-    def test_drain_all_matches_step_loop(self, trial):
-        rng_a = np.random.default_rng(4000 + trial)
-        rng_b = np.random.default_rng(4000 + trial)
-        sim_a, sim_b = Simulator(), Simulator()
-        trace_a, trace_b = [], []
-        schedule_random_workload(sim_a, rng_a, trace_a)
-        schedule_random_workload(sim_b, rng_b, trace_b)
-
-        sim_a.run_batch()
-        while sim_b.step():
-            pass
-
-        assert trace_a == trace_b
-        assert sim_a.now == sim_b.now
-        assert sim_a.processed == sim_b.processed
-        assert sim_a.pending == sim_b.pending == 0
-
-    @pytest.mark.parametrize("trial", range(10))
-    def test_sliced_drain_matches_run(self, trial):
-        """run_batch(until=...) == run(until=...) slice for slice,
-        including boundaries landing exactly on event times."""
-        rng_a = np.random.default_rng(5000 + trial)
-        rng_b = np.random.default_rng(5000 + trial)
-        sim_a, sim_b = Simulator(), Simulator()
-        trace_a, trace_b = [], []
-        schedule_random_workload(sim_a, rng_a, trace_a)
-        schedule_random_workload(sim_b, rng_b, trace_b)
-
-        # Half-unit boundaries coincide exactly with event times.
-        cuts = [0.0, 0.5, 1.0, 2.5, 2.5, 3.0, 4.75, 6.0]
-        for until in cuts:
-            assert sim_a.run_batch(until=until) == sim_b.run(until=until)
-            assert trace_a == trace_b
-            assert sim_a.now == sim_b.now
-            assert sim_a.processed == sim_b.processed
-            assert sim_a.pending == sim_b.pending
-        sim_a.run_batch()
-        sim_b.run()
-        assert trace_a == trace_b
-        assert sim_a.pending == sim_b.pending == 0
-
-    def test_until_before_first_event_requeues_cleanly(self):
-        sim = Simulator()
-        trace = []
-        sim.schedule(5.0, record(trace, "late"))
-        assert sim.run_batch(until=1.0) == 1.0
-        assert trace == []
-        assert sim.pending == 1
-        # The requeued event keeps its slot and still fires in order.
-        sim.schedule(3.0, record(trace, "early"))  # fires at t=4.0 < 5.0
-        sim.run_batch()
-        assert trace == ["early", "late"]
-
-    def test_requeued_event_keeps_insertion_order_on_tie(self):
-        """Two same-time same-priority events: the first is popped,
-        requeued past an until horizon, and must still fire first."""
-        sim = Simulator()
-        trace = []
-        sim.schedule(2.0, record(trace, "first"))
-        sim.schedule(2.0, record(trace, "second"))
-        sim.run_batch(until=1.0)  # pops "first", requeues it
-        sim.run_batch()
-        assert trace == ["first", "second"]
-
-    def test_run_batch_max_events(self):
-        sim = Simulator()
-        trace = []
-        for i in range(5):
-            sim.schedule(float(i), record(trace, i))
-        sim.run_batch(max_events=2)
-        assert trace == [0, 1]
-        assert sim.pending == 3
-        sim.run_batch()
-        assert trace == [0, 1, 2, 3, 4]
-
-    def test_run_batch_reentrancy_guarded(self):
-        from repro.sim import SimulationError
-        sim = Simulator()
-
-        def reenter():
-            with pytest.raises(SimulationError):
-                sim.run_batch()
-
-        sim.schedule(0.0, reenter)
-        sim.run_batch()
-
-    def test_run_batch_resumable_after_handler_raises(self):
-        sim = Simulator()
-        trace = []
-
-        def boom():
-            raise RuntimeError("handler failure")
-
-        sim.schedule(1.0, boom)
-        sim.schedule(2.0, record(trace, "after"))
-        with pytest.raises(RuntimeError):
-            sim.run_batch()
-        assert sim.now == 1.0
-        assert sim.processed == 1
-        sim.run_batch()
-        assert trace == ["after"]
-
-    def test_handler_scheduling_new_events_matches_run(self):
-        def build(sim, trace):
-            def chain(depth):
-                trace.append(depth)
-                if depth < 4:
-                    sim.schedule(0.5, chain, depth + 1)
-            sim.schedule(0.0, chain, 0)
-
-        sim_a, sim_b = Simulator(), Simulator()
-        trace_a, trace_b = [], []
-        build(sim_a, trace_a)
-        build(sim_b, trace_b)
-        assert sim_a.run_batch(until=1.2) == sim_b.run(until=1.2)
-        sim_a.run_batch()
-        sim_b.run()
-        assert trace_a == trace_b == [0, 1, 2, 3, 4]
-        assert sim_a.now == sim_b.now

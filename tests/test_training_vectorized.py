@@ -275,8 +275,7 @@ class TestLayerKernels:
                 (len(stack.nodes), batch) + got.shape[1:]
             )
             for i, node in enumerate(stack.nodes):
-                out_mask, __ = trainer._masks[entry.index][node]
-                expected = layer.backward(grad * out_mask)
+                expected = layer.backward(grad * stack.out_masks[i])
                 np.testing.assert_array_equal(
                     got[i], expected,
                     err_msg=f"{kind} layer {entry.index} node {node}",
