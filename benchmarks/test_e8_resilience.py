@@ -136,7 +136,7 @@ def test_e8_accuracy_vs_loss_rate(experiment):
     The curve is computed through the sweep engine
     (:func:`repro.faults.sweeps.loss_rate_point` under
     :func:`repro.par.run_sweep`), the same path ``repro sweep`` and
-    the parallel determinism pin below use."""
+    the chaos suite use."""
     from repro.faults import loss_rate_point, scenario_shared
     from repro.par import make_points, run_sweep
 
@@ -151,7 +151,7 @@ def test_e8_accuracy_vs_loss_rate(experiment):
     points = make_points(grid={"loss_rate": LOSS_RATES})
     report = run_sweep(
         "repro.faults.sweeps:loss_rate_point",
-        points, jobs=1, root_seed=0, shared=shared,
+        points, root_seed=0, shared=shared,
     )
 
     rows = []
@@ -190,30 +190,3 @@ def test_e8_accuracy_vs_loss_rate(experiment):
         accuracies[2]
     )
 
-
-def test_e8_loss_curve_parallel_identical_to_serial(experiment):
-    """Determinism pin on the E8 curve: two worker processes merge to
-    the byte-identical report of the serial sweep (bounded test set so
-    the doubled run stays cheap)."""
-    from repro.faults import scenario_shared
-    from repro.par import make_points, run_sweep
-
-    result, _, (x_te, y_te) = experiment
-    scenario = FaultScenario(
-        model=result.model,
-        graph=UnitGraph(result.model),
-        placement=result.placement,
-        topology=GridTopology(4, 4),
-    )
-    shared = scenario_shared(scenario, x_te[:32], y_te[:32])
-    points = make_points(grid={"loss_rate": [0.0, 0.2, 0.5]})
-    serial = run_sweep(
-        "repro.faults.sweeps:loss_rate_point",
-        points, jobs=1, root_seed=0, shared=shared,
-    )
-    parallel = run_sweep(
-        "repro.faults.sweeps:loss_rate_point",
-        points, jobs=2, root_seed=0, shared=shared, chunk_size=1,
-    )
-    assert parallel.canonical_json() == serial.canonical_json()
-    assert parallel.digest() == serial.digest()

@@ -21,9 +21,9 @@ central mechanism and its applications:
 - :mod:`repro.obs` -- unified telemetry: sim-clock tracing, metrics
   registry, and per-node cost reports (lazy; nothing imports it at
   module scope).
-- :mod:`repro.par` -- deterministic process-parallel sweep engine
-  (seed substreams, chunked work stealing, canonical result merge);
-  the only package allowed to create process pools.
+- :mod:`repro.par` -- deterministic sweep engine
+  (per-point seed substreams and telemetry sessions, canonical result
+  merge).
 """
 
 __version__ = "1.0.0"

@@ -7,7 +7,6 @@ Usage::
     python -m repro.cli info
     python -m repro.cli faults run --loss 0.2 --crashes 2
     python -m repro.cli bench --quick --against BENCH_perf.json
-    python -m repro.cli bench --jobs 4
     python -m repro.cli train --mode local --epochs 5 --trace train.jsonl
     python -m repro.cli sweep chaos --seeds 0-4 --grid loss_rate=0.0,0.2,0.4
     python -m repro.cli trace quickstart --out trace.jsonl
@@ -27,10 +26,10 @@ session).  ``trace`` runs an example with the telemetry layer
 installed and writes the Chrome-compatible JSONL trace plus a markdown
 summary; ``stats`` aggregates a written trace into the per-node
 communication-cost tables (Fig. 10 shape), optionally comparing two
-traces.  ``sweep`` fans a registered task over a seed list × config
-grid through the deterministic process-parallel engine
-(:mod:`repro.par`) — the JSON report is identical whatever ``--jobs``,
-except for the ``wall`` timing section.  ``train`` runs MicroDeep
+traces.  ``sweep`` runs a registered task over a seed list × config
+grid through the deterministic sweep engine (:mod:`repro.par`) — two
+runs write the same JSON report except for the ``wall`` timing
+section.  ``train`` runs MicroDeep
 distributed training on the toy field task — exact or local updates,
 vectorized or reference backward — and can record the ``train.step`` /
 ``exec.backward`` telemetry to a trace file.  ``serve`` hosts the
@@ -45,7 +44,8 @@ critical alert fired.
 
 Exit codes: 0 success (including a ``serve`` shutdown via Ctrl-C or
 ``--stop-after``); 2 usage error (unknown example/task/scenario, bad
-``--grid``/``--seeds`` spec, invalid ``serve`` batching knobs,
+``--grid``/``--set``/``--seeds`` spec or negative ``--root-seed``,
+invalid ``serve`` batching knobs,
 unreadable or schema-invalid ``bench --against`` baseline, invalid
 ``monitor --rules`` file); 3 ``bench`` performance regression against
 the baseline; 4 ``monitor`` saw at least one critical alert fire.
@@ -246,24 +246,19 @@ def cmd_bench(args) -> int:
     from repro.perf import compare_reports, run_suite, validate_report
 
     mode = "quick" if args.quick else "full"
-    jobs = max(1, args.jobs)
-    note = f" with {jobs} workers" if jobs > 1 else ""
-    print(f"running {mode} benchmark suite (seed {args.seed}){note} ...")
+    print(f"running {mode} benchmark suite (seed {args.seed}) ...")
     if args.trace:
         from repro import obs
 
-        if jobs > 1:
-            print("note: --trace records the parent process only; "
-                  "worker-side benchmarks are not traced")
         # The session is live while the workloads build their stacks,
         # so the suite itself is traced (the telemetry_overhead
         # benchmark injects its backends explicitly and is immune).
         with obs.session() as tel:
-            report = run_suite(quick=args.quick, seed=args.seed, jobs=jobs)
+            report = run_suite(quick=args.quick, seed=args.seed)
         trace_path = obs.write_trace(tel, args.trace, include_wall=True)
         print(f"telemetry trace written to {trace_path}")
     else:
-        report = run_suite(quick=args.quick, seed=args.seed, jobs=jobs)
+        report = run_suite(quick=args.quick, seed=args.seed)
     errors = validate_report(report)
     if errors:  # pragma: no cover - suite always emits valid reports
         for err in errors:
@@ -404,37 +399,49 @@ def _parse_scalar(text: str):
 
 
 def _parse_seeds(spec: str) -> list:
-    """``"0,3,7"`` and ``"0-4"`` (inclusive) forms, freely mixed."""
+    """``"0,3,7"`` and ``"0-4"`` (inclusive) forms, freely mixed;
+    seeds are non-negative (fault plans seed numpy generators)."""
     seeds = []
     for part in spec.split(","):
         part = part.strip()
         if not part:
             continue
         lo, dash, hi = part.partition("-")
-        if dash and lo:
-            seeds.extend(range(int(lo), int(hi) + 1))
-        else:
-            seeds.append(int(part))
+        try:
+            if dash and lo:
+                seeds.extend(range(int(lo), int(hi) + 1))
+            else:
+                seeds.append(int(part))
+        except ValueError:
+            raise ValueError(
+                f"--seeds: {part!r} is not a seed or an inclusive "
+                "'lo-hi' range of non-negative integers"
+            ) from None
     if not seeds:
-        raise ValueError(f"empty seed spec {spec!r}")
+        raise ValueError(f"--seeds: empty seed spec {spec!r}")
+    negative = [seed for seed in seeds if seed < 0]
+    if negative:
+        raise ValueError(
+            f"--seeds: seeds must be non-negative, got {negative[0]}"
+        )
     return seeds
 
 
-def _parse_grid(entries) -> dict:
+def _parse_grid(entries, flag: str = "--grid") -> dict:
     """``key=v1,v2,...`` entries into an ordered value-list dict."""
     grid = {}
     for entry in entries or []:
         key, eq, values = entry.partition("=")
         if not eq or not key or not values:
             raise ValueError(
-                f"grid entry {entry!r} is not of the form key=v1,v2,..."
+                f"{flag} entry {entry!r} is not of the form key=v1,v2,..."
             )
         grid[key] = [_parse_scalar(v) for v in values.split(",")]
     return grid
 
 
 def cmd_sweep(args) -> int:
-    """Fan a registered task over seeds × grid; write the report."""
+    """Run a registered task over seeds × grid; write the report."""
     import json
 
     from repro.par import available_tasks, make_points, run_sweep
@@ -452,21 +459,28 @@ def cmd_sweep(args) -> int:
         print(f"unknown sweep task {args.task!r}; registered: "
               f"{', '.join(tasks)}", file=sys.stderr)
         return 2
+    if args.root_seed < 0:
+        print(f"--root-seed must be non-negative, got {args.root_seed}",
+              file=sys.stderr)
+        return 2
     try:
         seeds = _parse_seeds(args.seeds)
         grid = _parse_grid(args.grid)
-        base = _parse_grid(args.set)
+        base = _parse_grid(args.set, flag="--set")
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    for key, values in base.items():
+        if len(values) != 1:
+            print(f"--set {key}= takes one value, got {len(values)}; "
+                  "use --grid for an axis", file=sys.stderr)
+            return 2
     base_config = {k: v[0] for k, v in base.items()}
     points = make_points(seeds=seeds, grid=grid, base_config=base_config)
     print(f"sweeping {args.task!r}: {len(points)} points "
           f"({len(seeds)} seeds x {max(1, len(points) // len(seeds))} "
-          f"configs), jobs={args.jobs}, root seed {args.root_seed}")
-    report = run_sweep(
-        args.task, points, jobs=args.jobs, root_seed=args.root_seed
-    )
+          f"configs), root seed {args.root_seed}")
+    report = run_sweep(args.task, points, root_seed=args.root_seed)
 
     header = f"{'idx':>4s} {'seed':>6s} {'config':32s} result"
     print(header)
@@ -479,7 +493,7 @@ def cmd_sweep(args) -> int:
         print(f"{result.index:4d} {str(result.seed):>6s} {config:32s} {shown}")
     print(f"\nmerged trace digest: {report.merged_trace_digest()}")
     print(f"report digest:       {report.digest()}")
-    print(f"elapsed: {report.elapsed_s:.2f}s with {report.jobs} job(s)")
+    print(f"elapsed: {report.elapsed_s:.2f}s")
     if args.out:
         doc = report.to_dict(include_wall=True)
         Path(args.out).write_text(
@@ -787,10 +801,6 @@ def main(argv: Optional[list] = None) -> int:
                               help="record the suite under a telemetry "
                                    "session and write the JSONL trace "
                                    "(heavy in full mode; pair with --quick)")
-    bench_parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                              help="run independent benchmarks on N worker "
-                                   "processes (each timing loop stays "
-                                   "pinned to one worker; default 1)")
     train_parser = sub.add_parser(
         "train", help="train the demo CNN with distributed updates"
     )
@@ -813,8 +823,8 @@ def main(argv: Optional[list] = None) -> int:
                               help="record training telemetry and write "
                                    "the JSONL trace to PATH")
     sweep_parser = sub.add_parser(
-        "sweep", help="fan a registered task over seeds x config grid "
-                      "(deterministic process-parallel engine)"
+        "sweep", help="run a registered task over seeds x config grid "
+                      "(deterministic sweep engine)"
     )
     sweep_parser.add_argument("task", nargs="?", default=None,
                               help="registered task name (see --list)")
@@ -827,10 +837,6 @@ def main(argv: Optional[list] = None) -> int:
     sweep_parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                               help="fixed config entry applied to every "
                                    "point (repeatable)")
-    sweep_parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                              help="worker processes (default 1; the JSON "
-                                   "report is identical for any N, modulo "
-                                   "the wall section)")
     sweep_parser.add_argument("--root-seed", type=int, default=0,
                               help="root of the per-point RNG substreams "
                                    "(default 0)")

@@ -1,16 +1,16 @@
-"""Spawn-safe sweep tasks over the fault-injection layer.
+"""Sweep tasks over the fault-injection layer.
 
-These are the worker entry points the chaos suite, the E8
-accuracy-vs-loss-rate benchmark, and the ``sweep_scaling`` perf
-benchmark fan out through :func:`repro.par.run_sweep`.  Each takes the
-standard ``(point, rng, shared)`` signature; ``shared`` carries the
-*pre-trained* scenario plus the held-out test set, pickled to every
-worker once via the pool initializer — workers never retrain.
+These are the per-point tasks the chaos suite, the E8
+accuracy-vs-loss-rate benchmark, and the benchmark's fault campaign
+run through :func:`repro.par.run_sweep`.  Each takes the standard
+``(point, rng, shared)`` signature; ``shared`` carries the
+*pre-trained* scenario plus the held-out test set, so no point
+retrains.
 
 Every value a task returns is derived deterministically from
-``(shared, point.seed, point.config)``, so the parallel sweep's merged
-report is byte-identical to the serial one — the property the tests
-pin via :meth:`repro.par.SweepReport.digest`.
+``(shared, point.seed, point.config)``, so a sweep's merged report is
+byte-identical from run to run — the property the tests pin via
+:meth:`repro.par.SweepReport.digest`.
 """
 
 from __future__ import annotations
@@ -143,8 +143,8 @@ def loss_rate_point(point, rng, shared) -> Dict[str, object]:
 
 
 def chaos_cell_point(point, rng, shared) -> Dict[str, object]:
-    """One (seed, loss-rate) cell: the smallest chaos work unit, used
-    by the ``sweep_scaling`` benchmark as its per-point workload."""
+    """One (seed, loss-rate) cell: the smallest chaos work unit, the
+    per-point workload of the benchmark's ``fault_campaign``."""
     scenario = shared["scenario"]
     x, y = shared["x"], shared["y"]
     cfg = point.config

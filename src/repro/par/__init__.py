@@ -1,19 +1,18 @@
-"""Deterministic process-parallel sweeps (``repro.par``).
+"""Deterministic sweeps (``repro.par``).
 
-The package behind ``repro sweep`` and ``repro bench --jobs``:
+The package behind ``repro sweep``, the chaos suite, the E8 loss
+curve and the benchmark's fault campaign:
 
-- :mod:`repro.par.sweep` — the engine: :func:`run_sweep` fans
-  :class:`SweepPoint`\\s over a spawn-based process pool with chunked
-  work-stealing scheduling, per-point RNG substreams
-  (``SeedSequence.spawn``), per-point telemetry sessions, and a
-  canonical merge asserted byte-identical to the serial run;
-- :mod:`repro.par.worker` — the spawn-safe worker entry points;
+- :mod:`repro.par.sweep` — the engine: :func:`run_sweep` runs
+  :class:`SweepPoint`\\s one after another with per-point RNG
+  substreams keyed by point index, per-point telemetry sessions, and a
+  canonical index-ordered merge with a digest;
+- :mod:`repro.par.worker` — :func:`~repro.par.worker.run_point`, the
+  per-point executor;
 - :mod:`repro.par.tasks` — the named task registry the CLI exposes.
 
-This is the **only** package allowed to create process pools or import
-:mod:`multiprocessing` at module scope (an AST lint enforces it), so
-every parallel execution path in the repo shares the same determinism
-contract.
+Sweeps run serially in the calling process; no module in ``repro``
+creates a process pool (an AST lint enforces it).
 """
 
 from repro.par.sweep import (
@@ -22,7 +21,6 @@ from repro.par.sweep import (
     PointResult,
     SweepPoint,
     SweepReport,
-    default_chunk_size,
     make_points,
     resolve_task,
     run_sweep,
@@ -39,7 +37,6 @@ __all__ = [
     "SweepPoint",
     "SweepReport",
     "available_tasks",
-    "default_chunk_size",
     "make_points",
     "resolve_task",
     "run_sweep",

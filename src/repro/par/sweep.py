@@ -1,37 +1,33 @@
-"""Deterministic process-parallel sweep engine.
+"""Deterministic sweep engine.
 
 A *sweep* is a list of :class:`SweepPoint`\\s — (seed, config) pairs —
-run through one spawn-safe task function.  The engine's contract is
-the one the chaos suite and the benchmark curves pin:
+run through one task function, one point after another in this
+process.  The engine's contract is the one the chaos suite, the E8
+loss curve and the benchmark's fault campaign pin: **the report
+depends only on the points' values** — not on the order they are
+listed in, nor on which other points share the sweep.  Three
+mechanisms deliver that:
 
-**the merged result of a parallel run is byte-identical to the serial
-run** (``jobs=1``), whatever the worker count, chunking, or completion
-order.  Three mechanisms deliver that:
-
-- *deterministic RNG substreams*: every point gets the child
-  :class:`numpy.random.SeedSequence` spawned at its index from one
-  root sequence, so its random draws do not depend on which process
-  (or in which order) it runs — the data-parallel discipline of
-  parameter-server training (Li et al., OSDI 2014) applied to
-  simulation sweeps;
+- *deterministic RNG substreams*: every point draws from the
+  :class:`numpy.random.SeedSequence` keyed by ``(root_seed,
+  point.index)``, which equals the child
+  ``SeedSequence(root_seed).spawn(n)`` hands out at that index.  Its
+  draws follow the point, not its list position: the data-parallel
+  discipline of parameter-server training (Li et al., OSDI 2014)
+  applied to simulation sweeps;
 - *per-point telemetry sessions*: each point runs under its own
-  :func:`repro.obs.session`, and the worker ships back a canonical
-  metrics snapshot plus the trace digest; the parent merges them in
-  ascending point index, never in completion order;
+  :func:`repro.obs.session`, which yields a canonical metrics snapshot
+  plus the trace digest; the report merges them in ascending point
+  index;
 - *a canonical result-merge step*: :meth:`SweepReport.to_dict`
   excludes every wall-clock field by default, so the report (and its
   :meth:`~SweepReport.digest`) depends only on the points' values.
 
-Scheduling is chunked work-stealing: the payload list is cut into
-small chunks fed through ``Pool.imap_unordered``, so idle workers pull
-the next chunk from the shared queue instead of being handed a fixed
-shard up front.
-
-Tasks must be **spawn-safe**: a top-level function (resolvable as
-``"module:qualname"``) with picklable arguments and no reliance on
-module-scope side effects.  Large read-only inputs (a trained
-scenario, a test set) travel once per worker via ``shared`` — they are
-pickled into the pool initializer, not into every chunk.
+Tasks are top-level functions (resolvable as ``"module:qualname"``, or
+a :mod:`repro.par.tasks` registry name), so a report's ``task`` field
+always names a callable that resolves back to the task.  Large
+read-only inputs (a trained scenario, a test set) reach every point
+through ``shared``.
 """
 
 from __future__ import annotations
@@ -39,21 +35,20 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
-import math
-import multiprocessing
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 
 @dataclass(frozen=True)
 class SweepPoint:
     """One sweep coordinate: an index, a seed, and a config dict.
 
-    ``index`` is the point's canonical position (merge order);
+    ``index`` is the point's canonical position (merge order) and the
+    key of its RNG substream, so it must be a non-negative integer;
     ``seed`` is the user-facing seed recorded in reports (tasks may
     also use it directly, e.g. for a :class:`FaultPlan`); ``config``
-    must be picklable and JSON-stable.
+    must be JSON-stable.
     """
 
     index: int
@@ -63,11 +58,10 @@ class SweepPoint:
 
 @dataclass
 class PointResult:
-    """One completed point, as shipped back from a worker.
+    """One completed point.
 
-    ``wall_s`` and ``worker`` are diagnostics only — they are excluded
-    from the canonical serialization so parallel and serial runs
-    compare byte-identical.
+    ``wall_s`` is a diagnostic only — it is excluded from the
+    canonical serialization so repeated runs compare byte-identical.
     """
 
     index: int
@@ -78,7 +72,6 @@ class PointResult:
     trace_digest: str
     trace_events: int
     wall_s: float
-    worker: str
 
     def to_dict(self, include_wall: bool = False) -> Dict[str, object]:
         out: Dict[str, object] = {
@@ -92,7 +85,6 @@ class PointResult:
         }
         if include_wall:
             out["wall_s"] = self.wall_s
-            out["worker"] = self.worker
         return out
 
 
@@ -105,13 +97,12 @@ class SweepReport:
     """All point results plus the canonical merge.
 
     ``results`` is always sorted by point index — the merge order —
-    regardless of the order workers completed them in.
+    whatever order the points were listed in.
     """
 
     task: str
     root_seed: int
     results: List[PointResult]
-    jobs: int
     elapsed_s: float
 
     def values(self) -> List[object]:
@@ -133,12 +124,11 @@ class SweepReport:
     def to_dict(self, include_wall: bool = False) -> Dict[str, object]:
         """The report as a JSON-stable dict.
 
-        The default form is **canonical**: no wall times, no worker
-        ids, no job count — two runs of the same sweep serialize
-        byte-identically whatever the parallelism.  With
+        The default form is **canonical**: no wall times — two runs
+        of the same sweep serialize byte-identically.  With
         ``include_wall=True`` the timing diagnostics ride along under
-        a single ``"wall"`` key (and per-point ``wall_s``/``worker``
-        fields), so consumers can strip them uniformly.
+        a single ``"wall"`` key (and per-point ``wall_s`` fields), so
+        consumers can strip them uniformly.
         """
         from repro.obs.trace import canonical_value
 
@@ -159,10 +149,7 @@ class SweepReport:
             },
         }
         if include_wall:
-            doc["wall"] = {
-                "jobs": self.jobs,
-                "elapsed_s": self.elapsed_s,
-            }
+            doc["wall"] = {"elapsed_s": self.elapsed_s}
         return doc
 
     def canonical_json(self) -> str:
@@ -172,7 +159,7 @@ class SweepReport:
 
     def digest(self) -> str:
         """SHA-256 of the canonical serialization — the determinism
-        pin tests compare across ``jobs`` settings."""
+        pin tests compare across runs."""
         return hashlib.sha256(
             self.canonical_json().encode("utf-8")
         ).hexdigest()
@@ -186,7 +173,6 @@ def strip_wall_fields(doc: Dict) -> Dict:
     out.pop("wall", None)
     for point in out.get("points", []):
         point.pop("wall_s", None)
-        point.pop("worker", None)
     return out
 
 
@@ -219,14 +205,15 @@ def make_points(
 
 
 def task_ref(task: Union[str, Callable]) -> str:
-    """Normalize a task to its spawn-safe reference.
+    """Normalize a task to its ``"module:qualname"`` (or registry
+    name) reference.
 
     Accepts a registry name (``"chaos"``), a ``"module:qualname"``
     string, or a top-level callable.  Raises :class:`ValueError` when
     the task cannot be resolved back from its reference — nested
     functions, lambdas, and unimportable modules fail *here*, before
-    any pool is spawned, so a sweep that works at ``jobs=1`` cannot
-    start failing at ``jobs=4``.
+    any point runs, so a report's ``task`` field always names the
+    callable that produced it.
     """
     if callable(task):
         qualname = getattr(task, "__qualname__", "")
@@ -234,8 +221,8 @@ def task_ref(task: Union[str, Callable]) -> str:
         if "<locals>" in qualname or "<lambda>" in qualname:
             raise ValueError(
                 f"task {qualname or task!r} is not a top-level function; "
-                "spawn-based workers need an importable "
-                "'module:qualname' entry point"
+                "a sweep report names its task by an importable "
+                "'module:qualname' reference"
             )
         ref = f"{module}:{qualname}"
         if resolve_task(ref) is not task:
@@ -251,7 +238,8 @@ def task_ref(task: Union[str, Callable]) -> str:
 
 def resolve_task(ref: str) -> Callable:
     """A task callable from its reference (registry name first, then
-    ``module:qualname``)."""
+    ``module:qualname``); :class:`ValueError` naming ``ref`` when it
+    does not resolve to a callable."""
     if ":" not in ref:
         from repro.par.tasks import REGISTRY
 
@@ -262,96 +250,63 @@ def resolve_task(ref: str) -> Callable:
             )
         return REGISTRY[ref]
     module_name, __, qualname = ref.partition(":")
-    module = importlib.import_module(module_name)
-    obj = module
-    for part in qualname.split("."):
-        obj = getattr(obj, part)
+    if not module_name or not qualname:
+        raise ValueError(
+            f"task reference {ref!r} is not of the form 'module:qualname'"
+        )
+    try:
+        obj = importlib.import_module(module_name)
+        for part in qualname.split("."):
+            obj = getattr(obj, part)
+    except (ImportError, AttributeError) as exc:
+        raise ValueError(
+            f"task reference {ref!r} does not resolve: {exc}"
+        ) from exc
     if not callable(obj):
         raise ValueError(f"task reference {ref!r} is not callable")
     return obj
 
 
-def _chunked(items: List, chunk_size: int) -> List[List]:
-    return [
-        items[i : i + chunk_size] for i in range(0, len(items), chunk_size)
-    ]
-
-
-def default_chunk_size(n_points: int, jobs: int) -> int:
-    """Small chunks (about four waves per worker) so the shared queue
-    behaves as work stealing: a worker that drew cheap points comes
-    back for more instead of idling."""
-    return max(1, math.ceil(n_points / (jobs * 4)))
-
-
 def run_sweep(
     task: Union[str, Callable],
     points: Sequence[SweepPoint],
-    jobs: int = 1,
     root_seed: int = 0,
     shared: Optional[object] = None,
-    chunk_size: Optional[int] = None,
-    mp_context: str = "spawn",
-    telemetry: bool = True,
 ) -> SweepReport:
-    """Run ``task`` over ``points`` with ``jobs`` worker processes.
+    """Run ``task`` over ``points``, one point at a time, in index
+    order.
 
-    ``jobs=1`` runs every point in-process through the *same*
-    per-point code path the workers use — it is the reference the
-    parallel merge is asserted byte-identical to, not a separate
-    implementation.  ``shared`` is delivered to each worker once (via
-    the pool initializer); ``telemetry=False`` skips the per-point
-    observability session for timing-sensitive tasks (the ``bench
-    --jobs`` fan-out) at the cost of empty metrics snapshots.
+    Each point runs through :func:`repro.par.worker.run_point` under
+    its own telemetry session with the RNG substream keyed by
+    ``(root_seed, point.index)``; ``shared`` is handed to every point
+    unchanged (tasks treat it as read-only).
     """
     import numpy as np
 
     from repro.par import worker
 
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    points = list(points)
+    points = sorted(points, key=lambda p: p.index)
     indices = [p.index for p in points]
     if len(set(indices)) != len(indices):
         raise ValueError(f"sweep point indices must be unique: {indices}")
+    if indices and indices[0] < 0:
+        raise ValueError(
+            f"sweep point indices must be non-negative, got {indices[0]}"
+        )
     ref = task_ref(task)
-    children = np.random.SeedSequence(root_seed).spawn(max(len(points), 1))
-    payloads = [
-        (p.index, p.seed, dict(p.config), children[i])
-        for i, p in enumerate(points)
-    ]
+    fn = resolve_task(ref)
     start = time.perf_counter()
-    if jobs == 1 or len(points) <= 1:
-        fn = resolve_task(ref)
-        results = [
-            worker.run_point(fn, payload, shared, telemetry=telemetry)
-            for payload in payloads
-        ]
-    else:
-        if multiprocessing.current_process().daemon:
-            raise ValueError(
-                "nested parallel sweeps are not supported: this process "
-                "is already a daemonic pool worker (use jobs=1 here)"
-            )
-        if chunk_size is None:
-            chunk_size = default_chunk_size(len(points), jobs)
-        chunks = _chunked(payloads, chunk_size)
-        ctx = multiprocessing.get_context(mp_context)
-        with ctx.Pool(
-            processes=min(jobs, len(chunks)),
-            initializer=worker.init_worker,
-            initargs=(ref, shared, telemetry),
-        ) as pool:
-            results = []
-            for chunk_results in pool.imap_unordered(
-                worker.run_chunk, chunks, chunksize=1
-            ):
-                results.extend(chunk_results)
-    results.sort(key=lambda r: r.index)
+    results = [
+        worker.run_point(
+            fn, point,
+            np.random.SeedSequence(root_seed, spawn_key=(point.index,)),
+            shared,
+        )
+        for point in points
+    ]
     return SweepReport(
         task=ref,
         root_seed=int(root_seed),
         results=results,
-        jobs=int(jobs),
         elapsed_s=time.perf_counter() - start,
     )

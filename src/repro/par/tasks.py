@@ -1,15 +1,15 @@
 """Registered sweep tasks for the ``repro sweep`` CLI.
 
 A task is a top-level function ``task(point, rng, shared)`` returning
-a picklable, JSON-stable value.  Registering it under a short name
+a JSON-stable value.  Registering it under a short name
 makes it addressable from the command line::
 
-    repro sweep chaos --seeds 0-4 --grid loss_rate=0.0,0.2,0.4 --jobs 4
+    repro sweep chaos --seeds 0-4 --grid loss_rate=0.0,0.2,0.4
 
-CLI tasks are **self-contained**: they receive no ``shared`` payload
-from the parent, so anything expensive (the trained demo scenario) is
-built inside the worker and memoized per process — with chunked
-scheduling each worker pays the build once and then streams points.
+CLI tasks are **self-contained**: they receive no ``shared`` payload,
+so anything expensive (the trained demo scenario) is built on first
+use and memoized per process — a sweep pays the build once however
+many points it has.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ def available_tasks() -> Dict[str, str]:
 
 
 #: Process-local cache of trained demo scenarios, keyed by their
-#: build parameters; lives for the worker's lifetime so one worker
-#: trains once however many points it steals.
+#: build parameters, so one sweep trains once however many points it
+#: has.
 _SCENARIO_CACHE: Dict[tuple, object] = {}
 
 
@@ -142,5 +142,5 @@ def rng_task(point, rng, shared):
 
 
 def _echo_shared_task(point, rng, shared):
-    """Test helper: echo the shared payload back from the worker."""
+    """Test helper: echo the shared payload back as the point's value."""
     return shared

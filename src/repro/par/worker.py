@@ -1,44 +1,22 @@
-"""Spawn-safe worker entry points for the sweep engine.
+"""The per-point executor of the sweep engine.
 
-Everything a child process executes lives here as top-level functions
-with picklable arguments: :func:`init_worker` runs once per worker via
-the pool initializer (resolving the task and parking the shared
-payload in a module-level slot), and :func:`run_chunk` executes one
-chunk of point payloads.  The module has **no import-time side
-effects** — a spawn child importing it pays only for the imports — and
-the serial (``jobs=1``) path calls the very same :func:`run_point`, so
-parallel and serial runs share one code path.
+:func:`run_point` runs one :class:`~repro.par.SweepPoint` under its
+own telemetry session and packs the value, the canonical metrics
+snapshot and the trace digest into a :class:`~repro.par.PointResult`;
+:func:`repro.par.run_sweep` calls it once per point.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from typing import List, Optional, Tuple
-
-#: Per-process worker state, set by :func:`init_worker`.
-_STATE = {"task": None, "shared": None, "telemetry": True}
 
 
-def init_worker(
-    task_ref: str, shared: Optional[object], telemetry: bool = True
-) -> None:
-    """Pool initializer: resolve the task once and keep the shared
-    payload; chunks then carry only their point payloads."""
-    from repro.par.sweep import resolve_task
-
-    _STATE["task"] = resolve_task(task_ref)
-    _STATE["shared"] = shared
-    _STATE["telemetry"] = bool(telemetry)
-
-
-def run_point(task, payload: Tuple, shared, telemetry: bool = True):
+def run_point(task, point, seed_seq, shared):
     """Execute one point under its own telemetry session.
 
-    ``payload`` is ``(index, seed, config, seed_sequence)``; the RNG
-    handed to the task is built from the point's spawned
-    :class:`~numpy.random.SeedSequence`, so draws are identical
-    whichever process runs the point.
+    The RNG handed to the task is built from ``seed_seq`` — the
+    point's :class:`~numpy.random.SeedSequence` substream — so its
+    draws depend only on the root seed and the point's index.
     """
     import numpy as np
 
@@ -46,41 +24,20 @@ def run_point(task, payload: Tuple, shared, telemetry: bool = True):
     from repro.obs.trace import canonical_value
     from repro.par.sweep import PointResult, SweepPoint
 
-    index, seed, config, seed_seq = payload
-    point = SweepPoint(index=index, seed=seed, config=config)
+    # A private config copy: a task that mutates it cannot reach the
+    # caller's points.
+    point = SweepPoint(point.index, point.seed, dict(point.config))
     rng = np.random.default_rng(seed_seq)
     start = time.perf_counter()
-    if telemetry:
-        with session() as tel:
-            value = task(point, rng, shared)
-        metrics = tel.metrics.snapshot()
-        trace_digest = tel.tracer.digest()
-        trace_events = len(tel.tracer)
-    else:
+    with session() as tel:
         value = task(point, rng, shared)
-        metrics = []
-        trace_digest = ""
-        trace_events = 0
     return PointResult(
-        index=index,
-        seed=seed,
-        config=config,
+        index=point.index,
+        seed=point.seed,
+        config=point.config,
         value=canonical_value(value),
-        metrics=canonical_value(metrics),
-        trace_digest=trace_digest,
-        trace_events=trace_events,
+        metrics=canonical_value(tel.metrics.snapshot()),
+        trace_digest=tel.tracer.digest(),
+        trace_events=len(tel.tracer),
         wall_s=time.perf_counter() - start,
-        worker=f"pid-{os.getpid()}",
     )
-
-
-def run_chunk(chunk: List[Tuple]) -> List:
-    """Worker-side chunk executor (the ``imap_unordered`` unit)."""
-    task = _STATE["task"]
-    if task is None:  # pragma: no cover - pool wiring error
-        raise RuntimeError("worker used before init_worker ran")
-    return [
-        run_point(task, payload, _STATE["shared"],
-                  telemetry=_STATE["telemetry"])
-        for payload in chunk
-    ]

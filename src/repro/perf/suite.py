@@ -41,12 +41,6 @@ Workloads:
   ``/metrics`` reconciliation are asserted untimed before the clocks
   start (the ``parity_*`` counters), and ``counters.rps`` /
   ``p50_ms`` / ``p99_ms`` summarize the best batched run;
-- ``sweep_scaling`` — the chaos-cell sweep through
-  :func:`repro.par.run_sweep` at increasing worker counts; the
-  timings include pool startup (honest end-to-end wall clock), the
-  merged reports are asserted byte-identical across ``jobs``, and
-  ``counters.cpu_count`` records how many cores the numbers were
-  taken on;
 - ``city_scale`` — a 10k-node random district on the grid-hash
   spatial index vs. the brute-force reference path: full
   neighborhood/graph construction, per-node neighbor queries, k
@@ -58,16 +52,12 @@ Workloads:
   pins the < 5 s full-build budget next to the measured O(n^2)
   ``reference_graph_build_s``.
 
-``run_suite(jobs=N)`` fans the *independent* benchmarks out over a
-process pool (one benchmark per worker at a time, so each timing loop
-runs pinned to a single process); ``sweep_scaling`` manages pools of
-its own and therefore always runs in the parent — pool workers are
-daemonic and may not spawn children.
+:func:`run_suite` runs the benchmarks one after another in this
+process.
 """
 
 from __future__ import annotations
 
-import os
 import platform
 import time
 from typing import Dict, List, Optional
@@ -731,77 +721,6 @@ def bench_timeline_overhead(
     }
 
 
-def bench_sweep_scaling(
-    protocol: BenchProtocol, seed: int, quick: bool
-) -> Dict:
-    """Across-run parallelism: the chaos-cell sweep at jobs=1/2/4.
-
-    Each point injects a random fault plan into a small pre-trained
-    demo scenario and measures accuracy; the shared scenario ships to
-    workers once via the pool initializer.  Wall clock per ``jobs``
-    includes pool startup — the user-visible cost.  The merged reports
-    must be byte-identical across every ``jobs`` setting (the engine's
-    core contract), and the headline ``speedup`` is jobs=1 over
-    jobs=max; ``counters.cpu_count`` qualifies it — on a single-core
-    box process parallelism cannot beat serial.
-    """
-    from repro.faults.sweeps import build_chaos_shared
-    from repro.par import SweepPoint, run_sweep
-
-    task = "repro.faults.sweeps:chaos_cell_point"
-    n_points = 4 if quick else 8
-    jobs_list = [1, 2] if quick else [1, 2, 4]
-    repeats = 1 if quick else 2
-    shared = build_chaos_shared(
-        seed=seed, n_samples=60, epochs=3, max_test=24
-    )
-    points = [
-        SweepPoint(i, seed + i, {"loss_rate": 0.3}) for i in range(n_points)
-    ]
-    # One untimed serial pass warms the executor caches in the parent.
-    run_sweep(task, points, jobs=1, root_seed=seed, shared=shared)
-
-    stats: Dict[int, TimingStats] = {}
-    digests: Dict[int, str] = {}
-    for jobs in jobs_list:
-        runs: List[float] = []
-        for __ in range(repeats):
-            report = run_sweep(
-                task, points, jobs=jobs, root_seed=seed, shared=shared
-            )
-            runs.append(report.elapsed_s)
-        stats[jobs] = TimingStats(runs)
-        digests[jobs] = report.digest()
-    if len(set(digests.values())) != 1:  # pragma: no cover - contract
-        raise AssertionError(
-            f"parallel sweep diverged from serial: {digests}"
-        )
-    timing = stats[jobs_list[-1]]
-    reference = stats[1]
-    counters = {
-        "cpu_count": float(os.cpu_count() or 1),
-        "n_points": float(n_points),
-        "reports_identical": 1.0,
-    }
-    for jobs in jobs_list[1:]:
-        counters[f"speedup_jobs{jobs}"] = (
-            reference.best_s / stats[jobs].best_s
-        )
-    return {
-        "name": "sweep_scaling",
-        "params": {"n_points": n_points, "jobs": jobs_list,
-                   "loss_rate": 0.3, "seed": seed},
-        "input_digest": input_digest(
-            shared["x"],
-            extra=f"sweep_scaling seed={seed} points={n_points}",
-        ),
-        "timing": timing.to_dict(),
-        "reference_timing": reference.to_dict(),
-        "speedup": reference.best_s / timing.best_s,
-        "counters": counters,
-    }
-
-
 def bench_serve_throughput(
     protocol: BenchProtocol, seed: int, quick: bool
 ) -> Dict:
@@ -1185,82 +1104,20 @@ _BENCHMARKS = (
     bench_train_epoch,
     bench_telemetry_overhead,
     bench_timeline_overhead,
-    bench_sweep_scaling,
     bench_serve_throughput,
     bench_city_scale,
 )
-
-#: Spawn-safe lookup for the ``--jobs`` fan-out.
-_BENCH_BY_NAME = {bench.__name__: bench for bench in _BENCHMARKS}
-
-#: Benchmarks that create process pools themselves; they stay in the
-#: parent under ``--jobs`` (daemonic pool workers cannot spawn
-#: children).
-_PARENT_ONLY = {bench_sweep_scaling.__name__}
-
-
-def _bench_point(point, rng, shared) -> Dict:
-    """Worker entry for ``run_suite(jobs=N)``: run one benchmark's
-    whole warmup+repeat loop inside this process, so its ``best_s``
-    never interleaves with another benchmark's timed region."""
-    cfg = point.config
-    protocol = BenchProtocol(
-        warmup=int(cfg["warmup"]), repeat=int(cfg["repeat"])
-    )
-    bench = _BENCH_BY_NAME[str(cfg["bench"])]
-    return bench(protocol, int(cfg["seed"]), bool(cfg["quick"]))
 
 
 def run_suite(
     quick: bool = False,
     seed: int = 0,
     protocol: Optional[BenchProtocol] = None,
-    jobs: int = 1,
 ) -> Dict:
-    """Run every workload; returns the schema-valid report dict.
-
-    With ``jobs > 1`` the independent benchmarks run concurrently,
-    one per worker process at a time (each timing loop stays pinned
-    to a single worker); results are reported in the canonical
-    ``_BENCHMARKS`` order regardless of completion order.  Concurrent
-    workloads contend for cores, so absolute times under ``jobs > 1``
-    are only comparable to other runs at the same ``jobs``.
-    """
+    """Run every workload; returns the schema-valid report dict."""
     if protocol is None:
         protocol = QUICK_PROTOCOL if quick else FULL_PROTOCOL
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1:
-        benchmarks: List[Dict] = [
-            bench(protocol, seed, quick) for bench in _BENCHMARKS
-        ]
-    else:
-        from repro.par import SweepPoint, run_sweep
-
-        pooled = [b for b in _BENCHMARKS if b.__name__ not in _PARENT_ONLY]
-        points = [
-            SweepPoint(i, seed, {
-                "bench": bench.__name__,
-                "warmup": protocol.warmup,
-                "repeat": protocol.repeat,
-                "seed": seed,
-                "quick": quick,
-            })
-            for i, bench in enumerate(pooled)
-        ]
-        report = run_sweep(
-            "repro.perf.suite:_bench_point", points, jobs=jobs,
-            root_seed=seed, chunk_size=1, telemetry=False,
-        )
-        # Map pooled results back into canonical order by position
-        # (report.results is index-sorted, matching `pooled`).
-        benchmarks = []
-        pooled_iter = iter(report.results)
-        for bench in _BENCHMARKS:
-            if bench.__name__ in _PARENT_ONLY:
-                benchmarks.append(bench(protocol, seed, quick))
-            else:
-                benchmarks.append(next(pooled_iter).value)
+    benchmarks = [bench(protocol, seed, quick) for bench in _BENCHMARKS]
     return {
         "schema_version": SCHEMA_VERSION,
         "suite": SUITE_NAME,
@@ -1269,7 +1126,6 @@ def run_suite(
             "seed": seed,
             "warmup": protocol.warmup,
             "repeat": protocol.repeat,
-            "jobs": jobs,
         },
         "env": {
             "python": platform.python_version(),

@@ -109,24 +109,43 @@ class TestSweepCli:
         assert _parse_scalar("true") is True
         assert _parse_scalar("name") == "name"
 
-    def test_jobs_reports_identical_modulo_wall(self, tmp_path, capsys):
-        """The acceptance pin: ``repro sweep --jobs 1`` and ``--jobs 4``
+    def test_reports_identical_modulo_wall(self, tmp_path, capsys):
+        """The acceptance pin: two runs of the same ``repro sweep``
         write identical JSON reports modulo wall-time fields."""
-        import json
-
         from repro.par import strip_wall_fields
 
         out1 = tmp_path / "sweep1.json"
-        out4 = tmp_path / "sweep4.json"
+        out2 = tmp_path / "sweep2.json"
         base = ["sweep", "rng", "--seeds", "0-2", "--grid", "k=1,2"]
-        assert main(base + ["--jobs", "1", "--out", str(out1)]) == 0
-        assert main(base + ["--jobs", "4", "--out", str(out4)]) == 0
+        assert main(base + ["--out", str(out1)]) == 0
+        assert main(base + ["--out", str(out2)]) == 0
         capsys.readouterr()  # drain the tables
         doc1 = json.loads(out1.read_text())
-        doc4 = json.loads(out4.read_text())
-        assert doc1["wall"]["jobs"] == 1
-        assert doc4["wall"]["jobs"] == 4
-        assert strip_wall_fields(doc1) == strip_wall_fields(doc4)
+        doc2 = json.loads(out2.read_text())
+        assert list(doc1["wall"]) == ["elapsed_s"]
+        assert strip_wall_fields(doc1) == strip_wall_fields(doc2)
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "chaos", "--seeds", "-1"],
+        ["sweep", "chaos", "--seeds", "2,-1-3"],
+        ["sweep", "rng", "--root-seed", "-1"],
+        ["sweep", "rng", "--set", "k=1,2"],
+    ])
+    def test_bad_argument_is_usage_error_naming_it(self, argv, capsys):
+        """Rejected before any point runs (``chaos`` would first train
+        its demo scenario), with the offending flag in the message."""
+        assert main(argv) == 2
+        assert argv[2] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--jobs", "2"],
+        ["sweep", "rng", "--jobs", "2"],
+    ])
+    def test_jobs_flag_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
 class TestServeCli:

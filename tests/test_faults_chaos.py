@@ -13,15 +13,13 @@ invariants the paper's setting demands:
   than the tolerance.
 
 The per-seed workload lives in
-:func:`repro.faults.sweeps.chaos_curve_point` — a spawn-safe sweep
-task — so the same code path serves the serial tier-1 checks, the
-parallel determinism pin, and the opt-in large sweep, which fans out
-over worker processes via :func:`repro.par.run_sweep`.
+:func:`repro.faults.sweeps.chaos_curve_point` — a sweep task — so the
+same code path serves the direct tier-1 checks, the sweep determinism
+pin, and the opt-in large sweep through :func:`repro.par.run_sweep`.
 
 The default seed set is small enough for tier-1; set
 ``REPRO_CHAOS_SWEEP=1`` to run the larger opt-in sweep
-(``pytest -m chaos_sweep``), and ``REPRO_CHAOS_JOBS=N`` to pick its
-worker count (default 2).
+(``pytest -m chaos_sweep``).
 """
 
 import os
@@ -60,7 +58,7 @@ def trained():
 
 def assert_chaos_payload(seed, payload) -> None:
     """The chaos invariants, asserted on a ``chaos_curve_point``
-    payload (wherever it was computed — in-process or in a worker)."""
+    payload (called directly or through a sweep)."""
     invariants = payload["invariants"]
     # No deadlock: every inference completed with bounded virtual time.
     assert invariants["all_inferences_completed"], f"seed {seed}"
@@ -157,31 +155,29 @@ def test_recovery_restores_accuracy(trained):
 
 
 @pytest.mark.chaos
-def test_parallel_chaos_sweep_is_byte_identical_to_serial(trained):
-    """The determinism pin: a chaos sweep fanned over two worker
-    processes merges to the byte-identical report of the serial run —
-    same values, same telemetry, same canonical digest."""
+def test_chaos_sweep_is_reproducible(trained):
+    """The determinism pin: a chaos sweep rerun on the same points
+    merges to the byte-identical report — same values, same telemetry,
+    same canonical digest — and each value equals a direct call of
+    the task outside the engine."""
     scenario, x, y = trained
     shared = scenario_shared(scenario, x[:16], y[:16])
     points = make_points(
         seeds=[0, 1], base_config={"loss_rates": [0.0, 0.3]}
     )
-    serial = run_sweep(
-        CHAOS_TASK, points, jobs=1, root_seed=0, shared=shared
-    )
-    parallel = run_sweep(
-        CHAOS_TASK, points, jobs=2, root_seed=0, shared=shared,
-        chunk_size=1,
-    )
-    assert parallel.canonical_json() == serial.canonical_json()
-    assert parallel.digest() == serial.digest()
-    assert parallel.merged_trace_digest() == serial.merged_trace_digest()
+    first = run_sweep(CHAOS_TASK, points, root_seed=0, shared=shared)
+    again = run_sweep(CHAOS_TASK, points, root_seed=0, shared=shared)
+    assert again.canonical_json() == first.canonical_json()
+    assert again.digest() == first.digest()
+    assert again.merged_trace_digest() == first.merged_trace_digest()
     assert (
-        parallel.merged_metrics().snapshot()
-        == serial.merged_metrics().snapshot()
+        again.merged_metrics().snapshot()
+        == first.merged_metrics().snapshot()
     )
-    # The payloads themselves pass the chaos invariants.
-    for result in parallel.results:
+    for point, result in zip(points, first.results):
+        direct = chaos_curve_point(point, np.random.default_rng(0), shared)
+        assert result.value == direct
+        # The payloads themselves pass the chaos invariants.
         assert_chaos_payload(result.seed, result.value)
 
 
@@ -192,13 +188,11 @@ def test_parallel_chaos_sweep_is_byte_identical_to_serial(trained):
     reason="large chaos sweep is opt-in (REPRO_CHAOS_SWEEP=1)",
 )
 def test_chaos_sweep(trained):
-    """The large opt-in sweep, fanned out over worker processes."""
+    """The large opt-in sweep through the sweep engine."""
     scenario, x, y = trained
-    jobs = int(os.environ.get("REPRO_CHAOS_JOBS", "2"))
     report = run_sweep(
         CHAOS_TASK,
         make_points(seeds=SWEEP_SEEDS),
-        jobs=jobs,
         root_seed=0,
         shared=scenario_shared(scenario, x, y),
     )

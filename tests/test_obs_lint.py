@@ -1,5 +1,5 @@
-"""Lint: telemetry must stay lazy, and process pools must stay in
-``repro.par``.
+"""Lint: telemetry must stay lazy, and no module creates process
+pools.
 
 No module outside ``src/repro/obs/`` may import ``repro.obs`` at module
 scope — instrumented subsystems resolve :func:`repro.obs.current`
@@ -7,12 +7,13 @@ inside function bodies instead, so importing (say) ``repro.wsn`` never
 pays for the telemetry layer and the disabled path stays a single
 ``telemetry.enabled`` attribute check.
 
-Likewise, no module outside ``src/repro/par/`` may import
-``multiprocessing``/``concurrent.futures`` at module scope or create
-worker pools at all: spawn children re-import every module an argument
-pickle drags in, so a module-scope pool would fork-bomb the sweep
-engine, and scattered pool creation would bypass its determinism
-contract (seed substreams, canonical merge, daemonic-nesting guard).
+Likewise, no module under ``src/repro/`` — the sweep engine in
+``repro.par`` included — may import ``multiprocessing``/
+``concurrent.futures`` at module scope or create worker pools at all:
+sweeps run serially through :func:`repro.par.run_sweep` (at the sweep
+sizes the repo runs, a process pool measured slower than the serial
+engine), and a pool anywhere would bypass the engine's determinism
+contract (index-keyed seed substreams, canonical merge).
 
 And ``repro.serve`` (outside its clock shim, ``serve/clock.py``) may
 not touch raw timing primitives — no ``time`` imports, no
@@ -90,9 +91,9 @@ def test_lint_covers_the_instrumented_modules():
     assert not any(name.startswith("obs/") for name in names)
 
 
-#: Modules whose import at module scope (outside repro.par) is banned.
+#: Modules whose import at module scope is banned.
 _MP_MODULES = ("multiprocessing", "concurrent.futures")
-#: Pool constructors that may only be called from repro.par.
+#: Pool constructors banned at any depth.
 _POOL_NAMES = {"Pool", "ThreadPool", "ProcessPoolExecutor",
                "ThreadPoolExecutor"}
 
@@ -108,9 +109,9 @@ def module_scope_mp_usage(tree):
     """Multiprocessing imports at module scope, and pool construction
     anywhere, as ``(lineno, reason)`` pairs.
 
-    Imports inside function bodies are tolerated (lazy, never paid by
-    spawn children at re-import time); pool creation is flagged at any
-    depth because pools belong to :mod:`repro.par` alone.
+    Imports inside function bodies are tolerated (they cost nothing
+    until the function runs, e.g. a ``cpu_count`` query); pool
+    creation is flagged at any depth.
     """
     offenders = []
     stack = [(node, False) for node in tree.body]
@@ -150,17 +151,34 @@ def module_scope_mp_usage(tree):
     return offenders
 
 
-def test_no_mp_usage_outside_par():
+def mp_offenders(paths):
     offenders = []
-    for path in iter_non_par_source_files():
+    for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
         for lineno, reason in module_scope_mp_usage(tree):
             offenders.append(
                 f"{path.relative_to(SRC.parent)}:{lineno} ({reason})"
             )
+    return offenders
+
+
+def test_no_mp_usage_outside_par():
+    offenders = mp_offenders(iter_non_par_source_files())
     assert offenders == [], (
-        "multiprocessing belongs to repro.par (deterministic sweep "
-        f"engine); found: {offenders}"
+        "process pools are banned; sweeps run serially through "
+        f"repro.par.run_sweep; found: {offenders}"
+    )
+
+
+def test_no_mp_usage_in_par():
+    """The sweep engine itself runs serially: the pool lint covers
+    ``repro.par`` too."""
+    paths = sorted((SRC / "par").rglob("*.py"))
+    assert SRC / "par" / "sweep.py" in paths
+    offenders = mp_offenders(paths)
+    assert offenders == [], (
+        "the sweep engine runs serially; found process-pool use: "
+        f"{offenders}"
     )
 
 

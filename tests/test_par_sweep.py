@@ -1,10 +1,10 @@
-"""Unit tests for the deterministic process-parallel sweep engine.
+"""Unit tests for the deterministic sweep engine.
 
-The contract under test (``repro.par``): a parallel sweep merges to a
-report byte-identical to the serial run — same RNG substreams, same
-telemetry, same canonical serialization — whatever the worker count
-or chunking.  Pool tests here use the cheap ``rng`` diagnostic task so
-the spawn cost (~0.5 s on this box) stays affordable in tier 1.
+The contract under test (``repro.par``): a sweep's report depends only
+on its points — each point's RNG substream is keyed by its index, its
+telemetry runs in its own session, and the canonical serialization
+excludes wall time — so reruns, reorderings and subsets of the same
+points agree point for point.
 """
 
 import json
@@ -17,7 +17,6 @@ from repro.par import (
     SweepPoint,
     SweepReport,
     available_tasks,
-    default_chunk_size,
     make_points,
     resolve_task,
     run_sweep,
@@ -72,6 +71,17 @@ class TestTaskResolution:
         with pytest.raises(ValueError, match="not callable"):
             resolve_task("repro.par.tasks:REGISTRY")
 
+    @pytest.mark.parametrize("ref", [
+        "repro.par.tasks:NOPE",
+        "repro.par.tasks:",
+        "no_such_module:f",
+    ])
+    def test_unresolvable_reference_raises_value_error(self, ref):
+        with pytest.raises(ValueError, match=ref):
+            resolve_task(ref)
+        with pytest.raises(ValueError, match=ref):
+            task_ref(ref)
+
     def test_callable_roundtrips_to_ref(self):
         assert task_ref(rng_task) == "repro.par.tasks:rng_task"
 
@@ -92,20 +102,11 @@ class TestTaskResolution:
         assert tasks["rng"].startswith("Diagnostic")
 
 
-class TestChunking:
-    def test_four_waves_per_worker(self):
-        assert default_chunk_size(100, 4) == 7
-        assert default_chunk_size(8, 2) == 1
-
-    def test_never_below_one(self):
-        assert default_chunk_size(1, 8) == 1
-        assert default_chunk_size(0, 2) == 1
-
-
 class TestRunSweepValidation:
-    def test_jobs_below_one_rejected(self):
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
-            run_sweep("rng", [SweepPoint(0, 0)], jobs=0)
+    def test_negative_index_rejected(self):
+        points = [SweepPoint(0, 0), SweepPoint(-2, 1)]
+        with pytest.raises(ValueError, match="non-negative, got -2"):
+            run_sweep("rng", points)
 
     def test_duplicate_indices_rejected(self):
         points = [SweepPoint(0, 0), SweepPoint(0, 1)]
@@ -117,25 +118,16 @@ class TestRunSweepValidation:
             run_sweep(
                 "example",
                 [SweepPoint(0, None, {"name": "no-such-example"})],
-                jobs=1,
             )
-
-    def test_task_error_propagates_from_pool(self):
-        points = [
-            SweepPoint(i, None, {"name": "no-such-example"})
-            for i in range(2)
-        ]
-        with pytest.raises(ValueError, match="unknown example"):
-            run_sweep("example", points, jobs=2)
 
 
 class TestDeterminism:
-    def test_substreams_keyed_by_index_not_jobs(self):
+    def test_substreams_keyed_by_index(self):
         points = make_points(seeds=[0, 1, 2], grid={"k": [1, 2]})
-        serial = run_sweep("rng", points, jobs=1, root_seed=42)
-        draws = [r.value["draw"] for r in serial.results]
-        # Re-running serially reproduces the exact draws.
-        again = run_sweep("rng", points, jobs=1, root_seed=42)
+        report = run_sweep("rng", points, root_seed=42)
+        draws = [r.value["draw"] for r in report.results]
+        # Re-running reproduces the exact draws.
+        again = run_sweep("rng", points, root_seed=42)
         assert [r.value["draw"] for r in again.results] == draws
         # Each point's draw matches its independently spawned substream.
         children = np.random.SeedSequence(42).spawn(len(points))
@@ -144,26 +136,29 @@ class TestDeterminism:
             for child in children
         ]
         assert draws == expected
+        # The substream follows the point's index, not its list
+        # position: a permuted list gives the same report ...
+        permuted = run_sweep(
+            "rng", [points[i] for i in (3, 0, 5, 1, 4, 2)], root_seed=42
+        )
+        assert [r.value["draw"] for r in permuted.results] == draws
+        assert permuted.digest() == report.digest()
+        # ... and a subset keeps each point's own draw.
+        subset = run_sweep("rng", [points[0], points[2]], root_seed=42)
+        assert [r.index for r in subset.results] == [0, 2]
+        assert [r.value["draw"] for r in subset.results] == [
+            expected[0], expected[2]
+        ]
 
     def test_root_seed_changes_draws(self):
         points = make_points(seeds=[0], grid={"k": [1, 2]})
-        a = run_sweep("rng", points, jobs=1, root_seed=0)
-        b = run_sweep("rng", points, jobs=1, root_seed=1)
+        a = run_sweep("rng", points, root_seed=0)
+        b = run_sweep("rng", points, root_seed=1)
         assert a.values() != b.values()
-
-    @pytest.mark.parametrize("chunk_size", [1, 3])
-    def test_parallel_byte_identical_to_serial(self, chunk_size):
-        points = make_points(seeds=[0, 1, 2], grid={"k": [1, 2]})
-        serial = run_sweep("rng", points, jobs=1, root_seed=7)
-        parallel = run_sweep(
-            "rng", points, jobs=2, root_seed=7, chunk_size=chunk_size
-        )
-        assert parallel.canonical_json() == serial.canonical_json()
-        assert parallel.digest() == serial.digest()
 
     def test_results_sorted_by_index(self):
         points = make_points(seeds=[0, 1], grid={"k": [1, 2]})
-        report = run_sweep("rng", points, jobs=2, root_seed=0)
+        report = run_sweep("rng", points[::-1], root_seed=0)
         assert [r.index for r in report.results] == [0, 1, 2, 3]
 
 
@@ -171,22 +166,20 @@ class TestReportSerialization:
     @pytest.fixture(scope="class")
     def report(self):
         points = make_points(seeds=[0, 1])
-        return run_sweep("rng", points, jobs=1, root_seed=0)
+        return run_sweep("rng", points, root_seed=0)
 
     def test_canonical_dict_has_no_wall_fields(self, report):
         doc = report.to_dict()
         assert "wall" not in doc
         for point in doc["points"]:
             assert "wall_s" not in point
-            assert "worker" not in point
 
     def test_wall_fields_segregated(self, report):
         doc = report.to_dict(include_wall=True)
-        assert doc["wall"]["jobs"] == 1
+        assert list(doc["wall"]) == ["elapsed_s"]
         assert doc["wall"]["elapsed_s"] >= 0
         for point in doc["points"]:
             assert point["wall_s"] >= 0
-            assert point["worker"].startswith("pid-")
 
     def test_strip_wall_fields_recovers_canonical(self, report):
         full = report.to_dict(include_wall=True)
@@ -209,9 +202,9 @@ class TestReportSerialization:
 class TestTelemetryMerge:
     def test_merged_metrics_fold_is_stable(self):
         points = make_points(seeds=[0, 1, 2])
-        serial = run_sweep("rng", points, jobs=1, root_seed=0)
-        merged = serial.merged_metrics()
-        assert merged.snapshot() == serial.merged_metrics().snapshot()
+        report = run_sweep("rng", points, root_seed=0)
+        merged = report.merged_metrics()
+        assert merged.snapshot() == report.merged_metrics().snapshot()
 
     def test_merge_snapshots_order_independent_for_counters(self):
         from repro.obs import MetricsRegistry, merge_snapshots
@@ -230,20 +223,14 @@ class TestTelemetryMerge:
         assert merge_digests(["a", "b"]) != merge_digests(["b", "a"])
         assert merge_digests(["a", "b"]) == merge_digests(["a", "b"])
 
-    def test_telemetry_off_leaves_empty_snapshots(self):
-        points = make_points(seeds=[0])
-        report = run_sweep("rng", points, jobs=1, telemetry=False)
-        assert report.results[0].metrics == []
-        assert report.results[0].trace_digest == ""
-
 
 class TestSharedPayload:
     def test_shared_reaches_workers(self):
+        """Every point's task receives the one ``shared`` payload."""
         points = [SweepPoint(i, i) for i in range(3)]
         report = run_sweep(
             "repro.par.tasks:_echo_shared_task",
             points,
-            jobs=2,
             shared={"token": "abc"},
         )
         assert all(r.value == {"token": "abc"} for r in report.results)
@@ -251,7 +238,7 @@ class TestSharedPayload:
     def test_point_result_roundtrip(self):
         r = PointResult(
             index=0, seed=1, config={}, value=2, metrics=[],
-            trace_digest="d", trace_events=0, wall_s=0.1, worker="pid-1",
+            trace_digest="d", trace_events=0, wall_s=0.1,
         )
         assert r.to_dict() == {
             "index": 0, "seed": 1, "config": {}, "value": 2,
