@@ -68,12 +68,13 @@ def main():
     )
 
     spans = obs.span_summary(optimal_events)
-    # Steady-state forwards are served by a compiled plan (one
-    # exec.plan span each); the event-driven path's per-layer spans
-    # appear only when the executor falls back to the oracle.
+    # Each forward is one exec.forward span around the layer loop; in
+    # steady state its traffic is one compiled exec.plan update (an
+    # exec.replay span appears only when the executor falls back to
+    # the event-driven oracle).
     print(f"optimal-placement trace: {len(optimal_events)} events "
-          f"({spans.get('exec.plan', 0)} compiled-plan spans, "
-          f"{spans.get('exec.layer', 0)} layer spans)")
+          f"({spans.get('exec.forward', 0)} forward spans, "
+          f"{spans.get('exec.plan', 0)} compiled-plan spans)")
 
     # The Fig.-10 artifact, rebuilt from the trace alone.
     optimal = obs.per_node_costs(optimal_events)

@@ -30,8 +30,8 @@ traces.  ``sweep`` runs a registered task over a seed list × config
 grid through the deterministic sweep engine (:mod:`repro.par`) — two
 runs write the same JSON report except for the ``wall`` timing
 section.  ``train`` runs MicroDeep
-distributed training on the toy field task — exact or local updates,
-vectorized or reference backward — and can record the ``train.step`` /
+distributed training on the toy field task — exact or local updates
+with the vectorized backward — and can record the ``train.step`` /
 ``exec.backward`` telemetry to a trace file.  ``serve`` hosts the
 multi-tenant recognition HTTP service (:mod:`repro.serve`) until
 interrupted (Ctrl-C drains in-flight batches before exiting) or until
@@ -353,7 +353,7 @@ def cmd_train(args) -> int:
         placement = grid_correspondence_assignment(graph, GridTopology(4, 4))
         trainer = MicroDeepTrainer(
             graph, placement, SGD(lr=0.05),
-            update_mode=args.mode, backward_impl=args.impl,
+            update_mode=args.mode,
         )
         history = trainer.fit(
             x, y, epochs=args.epochs, batch_size=args.batch_size,
@@ -362,7 +362,7 @@ def cmd_train(args) -> int:
         loss, acc = trainer.evaluate(x, y)
         return history, loss, acc
 
-    print(f"training: mode={args.mode} impl={args.impl} "
+    print(f"training: mode={args.mode} impl=vectorized "
           f"epochs={args.epochs} batch={args.batch_size} "
           f"samples={args.samples} seed={args.seed}")
     if args.trace:
@@ -807,10 +807,6 @@ def main(argv: Optional[list] = None) -> int:
     train_parser.add_argument("--mode", choices=("exact", "local"),
                               default="local",
                               help="update mode (default local)")
-    train_parser.add_argument("--impl", choices=("vectorized", "reference"),
-                              default="vectorized",
-                              help="'local' backward implementation "
-                                   "(default vectorized)")
     train_parser.add_argument("--epochs", type=int, default=5,
                               help="training epochs (default 5)")
     train_parser.add_argument("--batch-size", type=int, default=8,

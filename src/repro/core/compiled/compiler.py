@@ -23,8 +23,7 @@ class PlanNotCompilable(RuntimeError):
 
     Attributes:
         reason: machine-readable cause — one of ``"lossy-links"``,
-            ``"link-faults"``, ``"node-down"``, ``"fault-adapter"``,
-            ``"unroutable"``.
+            ``"link-faults"``, ``"node-down"``, ``"unroutable"``.
     """
 
     def __init__(self, reason: str, detail: str = "") -> None:
@@ -38,11 +37,10 @@ class PlanNotCompilable(RuntimeError):
 def plan_blocked(executor) -> Optional[Tuple[str, str]]:
     """Why a compiled plan cannot (currently) serve this executor, as
     ``(reason, detail)`` — or None when the steady state holds.  The
-    executor runs this cheap check before every compiled forward, so
-    a fault adapter, lossy link model, or active brownout routes the
-    call back to the event-driven oracle the moment it appears."""
-    if getattr(executor, "fault_adapter", None) is not None:
-        return ("fault-adapter", "a fault adapter is attached")
+    executor runs this cheap check before every planned traffic
+    update, so a lossy link model, link-fault model, or active
+    brownout routes the call back to the event-driven oracle the
+    moment it appears."""
     network = executor.network
     if network.loss_probability > 0.0:
         return (
@@ -117,15 +115,13 @@ def compile_plan(executor) -> CompiledPlan:
     Raises:
         PlanNotCompilable: when the executor is not in the static
             steady state (lossy links, an installed link-fault model,
-            a fault adapter, a node down) or any transfer is
-            unroutable.  The caller falls back to the event-driven
-            path in that case — compilation is never silently wrong.
+            a node down) or any transfer is unroutable.  The caller
+            falls back to the event-driven path in that case —
+            compilation is never silently wrong.
     """
     blocked = plan_blocked(executor)
     if blocked is not None:
         raise PlanNotCompilable(*blocked)
     return CompiledPlan(
-        network=executor.network,
-        layers=executor.graph.layers,
-        hops=_build_hop_program(executor),
+        network=executor.network, hops=_build_hop_program(executor)
     )

@@ -1,14 +1,12 @@
 """The flat ndarray program a compiled plan executes.
 
-A :class:`CompiledPlan` holds two precomputed pieces:
-
-- the model's layer sequence (the arithmetic is identical to the
-  centralized forward, so logits stay byte-for-byte equal to the
-  event-driven oracle);
-- a :class:`HopProgram` — every directed link's per-inference packet
-  and value tallies, already aggregated over all transfer groups and
-  route hops, which :meth:`repro.wsn.Network.account_compiled` applies
-  as one batched accounting update.
+A :class:`CompiledPlan` holds a :class:`HopProgram` — every directed
+link's per-inference packet and value tallies, already aggregated over
+all transfer groups and route hops, which
+:meth:`repro.wsn.Network.account_compiled` applies as one batched
+accounting update.  The plan carries traffic only: the arithmetic is
+the executor's one layer loop,
+:meth:`repro.core.DistributedExecutor.forward_hooked`, on every path.
 
 This module must never import :mod:`repro.sim` (lint-enforced): the
 compiled hot path owes its speed to never entering the event loop.
@@ -17,7 +15,6 @@ compiled hot path owes its speed to never entering the event loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 import numpy as np
 
@@ -72,49 +69,23 @@ class CompiledPlan:
 
     Built by :func:`repro.core.compiled.compile_plan`; executed by
     :meth:`run` without consulting routing, the simulator, or any
-    per-transfer Python loop.  The plan is only sound under the conditions it was
-    compiled for — ideal links, every node alive — which the executor
+    per-transfer Python loop.  The plan is only sound under the
+    conditions it was compiled for — ideal links, every node alive —
+    which :meth:`repro.core.DistributedExecutor.account_traffic`
     re-checks before each use (falling back to the event-driven oracle
     otherwise).
 
     Args:
         network: the network whose counters the plan advances.
-        layers: the unit-graph layer entries, in forward order.
         hops: the aggregated traffic program.
     """
 
-    def __init__(self, network, layers, hops: HopProgram) -> None:
+    def __init__(self, network, hops: HopProgram) -> None:
         self.network = network
         self.hops = hops
-        #: Bound forward callables, one per layer — the whole
-        #: arithmetic program, flattened.
-        self._ops = [entry.layer.forward for entry in layers]
 
-    @property
-    def n_layers(self) -> int:
-        return len(self._ops)
-
-    def describe(self) -> Dict[str, int]:
-        """Small summary for spans, logs, and the CLI."""
-        return {
-            "layers": self.n_layers,
-            "links": self.hops.n_links,
-            "transfer_groups": self.hops.n_transfer_groups,
-            "values_per_inference": self.hops.total_values(),
-        }
-
-    # -- execution ----------------------------------------------------------
-    def run(self, x: np.ndarray, count_traffic: bool = True) -> np.ndarray:
-        """One compiled forward pass.
-
-        Traffic for the whole batch is accounted in one bulk update
-        before the math (the event-driven oracle also replays traffic
-        first); the layer arithmetic is the exact sequence
-        ``model.forward`` runs, so the logits are byte-identical.
-        """
-        if count_traffic:
-            self.network.account_compiled(self.hops, copies=int(x.shape[0]))
-        out = x
-        for op in self._ops:
-            out = op(out, training=False)
-        return out
+    def run(self, copies: int) -> None:
+        """Account ``copies`` inferences' traffic in one bulk update —
+        every counter ends up where the event-driven replay would put
+        it."""
+        self.network.account_compiled(self.hops, copies=copies)

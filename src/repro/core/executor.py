@@ -9,15 +9,15 @@ experiment (E8) quantifies.
 
 Hot paths are vectorized (see README "Performance"):
 
-- in steady state (ideal links, every node up, no fault adapter) the
-  whole forward is served by a **compiled plan**
-  (:mod:`repro.core.compiled`): precomputed routes folded into one
-  batched traffic-accounting update, plus the unchanged layer
-  arithmetic — no per-transfer Python, no route lookups, no event
-  loop.  The ``plan=`` switch controls it (``"auto"`` by default);
-  the event-driven path below stays as the parity oracle and is
-  re-selected automatically the moment a fault adapter, lossy link
-  model, or active brownout appears;
+- the arithmetic is one layer loop, :meth:`forward_hooked`; the
+  traffic half is decided once per call by :meth:`account_traffic`.
+  In steady state (ideal links, every node up) that applies a
+  **compiled plan** (:mod:`repro.core.compiled`): precomputed routes
+  folded into one batched traffic-accounting update — no
+  per-transfer Python, no route lookups, no event loop.  The
+  event-driven replay below stays as the parity oracle and takes over
+  the moment a lossy link model, link-fault model, or down node
+  appears;
 - the event-driven traffic replay sends each ``(layer, src, dst,
   n_values)`` transfer group through
   :meth:`repro.wsn.Network.unicast_bulk` once, instead of one Python
@@ -67,7 +67,6 @@ class DistributedExecutor:
         placement: Placement,
         network: Network,
         telemetry=None,
-        fault_adapter=None,
     ) -> None:
         if graph.model is not model:
             raise ValueError("graph was not extracted from this model")
@@ -75,10 +74,6 @@ class DistributedExecutor:
         self.graph = graph
         self.placement = placement
         self.network = network
-        #: When a fault adapter is attached, compiled plans are unsound
-        #: (the adapter rewrites activations) and :meth:`forward` always
-        #: takes the event-driven path.
-        self.fault_adapter = fault_adapter
         #: The placement's owners, per-node positions, and transfers.
         self.index = PlacementIndex(graph, placement)
         self._cost_model = CommunicationCostModel(graph, network.topology)
@@ -99,62 +94,82 @@ class DistributedExecutor:
         count_traffic: bool = True,
         plan: Optional[str] = "auto",
     ) -> np.ndarray:
-        """Distributed forward pass.
+        """Distributed forward pass: the traffic, then the arithmetic.
 
         When ``count_traffic`` is set, every cross-node transfer of one
         inference is accounted through the network layer **once per
         batch element** (each inference pays its own traffic).
 
-        ``plan`` selects the execution strategy:
+        ``plan`` selects how that traffic is accounted:
 
-        - ``"auto"`` (default): compile the placement + schedule into a
-          :class:`repro.core.compiled.CompiledPlan` on first use and
-          serve the forward from it — unless a fault adapter, lossy
+        - ``"auto"`` (default): :meth:`account_traffic` — the compiled
+          plan in steady state, the event-driven replay while a lossy
           link model, installed :class:`~repro.wsn.network.LinkFaultModel`,
-          or down node (brownout/crash) makes the static schedule
-          unsound, in which case the call falls back to the
-          event-driven path below (and retries compilation once the
-          condition clears).
-        - ``None``: always take the event-driven path — the parity
-          oracle the differential suite pins the compiled path against.
+          down node (brownout/crash) or unroutable transfer makes the
+          static schedule unsound;
+        - ``None``: always :meth:`replay_traffic` — the parity oracle
+          the differential suite pins the compiled path against.
+
+        The arithmetic is :meth:`forward_hooked` without hooks, inside
+        one ``exec.forward`` span.
 
         Returns:
             The model logits (identical to the centralized forward).
         """
         if plan not in ("auto", None):
             raise ValueError(f"plan must be 'auto' or None, got {plan!r}")
-        if plan is not None:
-            blocked = plan_blocked(self)
-            if blocked is None:
-                compiled = self._ensure_plan()
-                if compiled is not None:
-                    return self._forward_compiled(compiled, x, count_traffic)
-                self._note_fallback(self._plan_uncompilable)
-            else:
-                self._note_fallback(blocked[0])
+        batch = int(x.shape[0])
         if count_traffic:
-            self.replay_traffic(x.shape[0])
+            if plan is None:
+                self.replay_traffic(batch)
+            else:
+                self.account_traffic(batch)
         tel = self._telemetry
         if not tel.enabled:
-            return self.model.forward(x, training=False)
-        return self._forward_traced(x, tel)
+            return self.forward_hooked(x)
+        with tel.tracer.span("exec.forward", batch=batch):
+            return self.forward_hooked(x)
 
-    # -- compiled fast path --------------------------------------------------
-    def compiled_plan(self) -> CompiledPlan:
-        """The executor's compiled plan, building it if needed.
+    def account_traffic(self, batch: int) -> str:
+        """Account ``batch`` inferences' traffic the cheapest sound way.
 
-        Raises:
-            PlanNotCompilable: when the current state cannot be served
-                by a static plan (``forward(plan="auto")`` swallows
-                this and falls back; this accessor surfaces it).
+        In steady state the compiled plan applies it as one bulk update
+        (``exec.plan`` span, ``exec.plan_runs`` counter); otherwise the
+        event-driven :meth:`replay_traffic` runs, counted under
+        ``exec.plan_fallbacks{reason}``.  Either way every counter ends
+        up where the replay would put it.
+
+        Returns:
+            ``"plan"`` or ``"fallback:<reason>"``, the reason being one
+            of :class:`~repro.core.compiled.PlanNotCompilable`'s.
         """
         blocked = plan_blocked(self)
-        if blocked is not None:
-            raise PlanNotCompilable(blocked[0], blocked[1])
-        compiled = self._ensure_plan()
+        compiled = self._ensure_plan() if blocked is None else None
+        tel = self._telemetry
         if compiled is None:
-            raise PlanNotCompilable(self._plan_uncompilable)
-        return compiled
+            reason = blocked[0] if blocked else self._plan_uncompilable
+            if tel.enabled:
+                tel.metrics.counter("exec.plan_fallbacks", reason=reason).inc()
+                # The instant fires only when a working plan existed
+                # (steady state lost), so traces tell "never compiled"
+                # from "degraded".
+                if self._compiled_plan is not None:
+                    tel.tracer.instant("exec.plan-fallback", reason=reason)
+            self.replay_traffic(batch)
+            return f"fallback:{reason}"
+        if not tel.enabled:
+            compiled.run(batch)
+            return "plan"
+        hops = compiled.hops
+        with tel.tracer.span(
+            "exec.plan",
+            batch=batch,
+            links=hops.n_links,
+            transfer_groups=hops.n_transfer_groups,
+        ):
+            tel.metrics.counter("exec.plan_runs").inc()
+            compiled.run(batch)
+        return "plan"
 
     def _ensure_plan(self) -> Optional[CompiledPlan]:
         """Memoized compilation, keyed on the topology epoch.  A node
@@ -171,47 +186,6 @@ class DistributedExecutor:
                 self._compiled_plan = None
                 self._plan_uncompilable = exc.reason
         return self._compiled_plan
-
-    def _forward_compiled(
-        self, compiled: CompiledPlan, x: np.ndarray, count_traffic: bool
-    ) -> np.ndarray:
-        tel = self._telemetry
-        if not tel.enabled:
-            return compiled.run(x, count_traffic=count_traffic)
-        hops = compiled.hops
-        with tel.tracer.span(
-            "exec.plan",
-            batch=int(x.shape[0]),
-            links=hops.n_links,
-            transfer_groups=hops.n_transfer_groups,
-        ):
-            tel.metrics.counter("exec.plan_runs").inc()
-            return compiled.run(x, count_traffic=count_traffic)
-
-    def _note_fallback(self, reason: str) -> None:
-        """Record that a planned forward was served by the event-driven
-        oracle instead.  The ``exec.plan-fallback`` instant fires only
-        when a working plan existed before (steady state lost), so
-        traces distinguish "never compiled" from "degraded"."""
-        tel = self._telemetry
-        if not tel.enabled:
-            return
-        tel.metrics.counter("exec.plan_fallbacks", reason=reason).inc()
-        if self._compiled_plan is not None:
-            tel.tracer.instant("exec.plan-fallback", reason=reason)
-
-    def _forward_traced(self, x: np.ndarray, tel) -> np.ndarray:
-        """The traced twin of ``model.forward``: same layer sequence
-        (so logits are byte-identical), with one ``exec.layer`` span
-        per unit-graph layer nested in an ``exec.forward`` span."""
-        with tel.tracer.span("exec.forward", batch=int(x.shape[0])):
-            out = x
-            for entry in self.graph.layers:
-                with tel.tracer.span(
-                    "exec.layer", layer=entry.index, kind=entry.kind
-                ):
-                    out = entry.layer.forward(out, training=False)
-            return out
 
     def replay_traffic(self, batch: int) -> None:
         """Account ``batch`` inferences' cross-node transfers on the
@@ -253,7 +227,7 @@ class DistributedExecutor:
         """Static cost for comparison with the measured network stats."""
         return self._cost_model.inference_cost(self.placement)
 
-    # -- fault injection ----------------------------------------------------
+    # -- the layer loop -----------------------------------------------------
     def forward_hooked(
         self,
         x: np.ndarray,
@@ -262,8 +236,10 @@ class DistributedExecutor:
     ) -> np.ndarray:
         """Layer-by-layer forward pass with substitution hooks.
 
-        This is the executor-side choke point the fault layer plugs
-        into: ``input_hook(x)`` may rewrite the input field (the
+        The executor's one layer loop: :meth:`forward`, the serving
+        path and failure masking all run their arithmetic here, and it
+        is the choke point the fault layer plugs into.  Traffic is not
+        touched.  ``input_hook(x)`` may rewrite the input field (the
         executor hands it a private copy), and ``layer_hook(entry,
         out)`` runs after every unit-graph layer and may rewrite (or
         replace) its activations — e.g. to zero dead units or

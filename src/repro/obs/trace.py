@@ -52,7 +52,7 @@ class SpanRecord:
     Attributes:
         span_id: 1-based id, unique within the tracer.
         parent_id: enclosing span's id (0 = root).
-        name: span name, e.g. ``"exec.layer"``.
+        name: span name, e.g. ``"exec.forward"``.
         phase: Chrome phase — ``"X"`` complete span, ``"i"`` instant.
         t_start / t_end: simulated time (seconds) at open/close; equal
             for instants.

@@ -1,8 +1,9 @@
 """Performance harness: measured, regression-gated benchmarks.
 
 ``repro bench`` drives :func:`run_suite` over the stack's hot paths
-(traffic replay, masked forward, im2col, sim event drain, training),
-writes the schema-versioned ``BENCH_perf.json``, and — with
+(traffic replay, compiled plans, masked forward, im2col, local
+backward, telemetry and flight-recorder overhead, serving, city-scale
+topologies), writes the schema-versioned ``BENCH_perf.json``, and — with
 ``--against`` — gates the run on a previous report so speed never
 silently regresses.
 """

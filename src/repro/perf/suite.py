@@ -10,9 +10,6 @@ Workloads:
 
 - ``traffic_replay_batched`` — batched cross-node transfer replay,
   aggregated bulk sends vs. one ``unicast`` per transfer per element;
-- ``forward_e2e`` — full distributed forward (traffic + math), both
-  event-driven replay modes (pinned ``plan=None``; the compiled path
-  has its own entry);
 - ``forward_plan`` — the compiled-plan fast path vs. the event-driven
   oracle at the per-request operating point (small batch, where the
   route replay dominates); byte-identical logits and exactly equal
@@ -28,12 +25,11 @@ Workloads:
   update-skip accounting are asserted untimed before the clocks start,
   so the committed entry certifies the speedup is of an equivalent
   computation;
-- ``train_epoch`` — one MicroDeep local-update training epoch,
-  vectorized backward vs. the reference loop end-to-end (identical
-  data order per run; one-epoch weight parity asserted untimed);
-- ``telemetry_overhead`` — the forward_e2e workload with a live
+- ``telemetry_overhead`` — the event-driven forward with a live
   telemetry session vs. the null backend; the documented budget is
   **< 5 % overhead** with tracing on (``counters.overhead_pct``);
+- ``timeline_overhead`` — the same forward plus a flight-recorder
+  tick per pass vs. telemetry off, under the same budget;
 - ``serve_throughput`` — the serving stack end to end: a closed-loop
   asyncio load generator against a live :mod:`repro.serve` app on an
   ephemeral port, micro-batching on vs. off at the same offered
@@ -52,7 +48,8 @@ Workloads:
   pins the < 5 s full-build budget next to the measured O(n^2)
   ``reference_graph_build_s``.
 
-:func:`run_suite` runs the benchmarks one after another in this
+Each entry is a plain function that builds its report dict through
+:func:`_entry`; :func:`run_suite` runs them one after another in this
 process.
 """
 
@@ -60,11 +57,12 @@ from __future__ import annotations
 
 import platform
 import time
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.core.assignment import grid_correspondence_assignment
+from repro.core.compiled import compile_plan
 from repro.core.executor import DistributedExecutor
 from repro.core.training import MicroDeepTrainer
 from repro.core.unitgraph import UnitGraph
@@ -92,6 +90,29 @@ from repro.wsn.topology import GridTopology, RandomTopology, Topology
 #: stays inside tier-1 budgets.
 FULL_PROTOCOL = BenchProtocol(warmup=1, repeat=3)
 QUICK_PROTOCOL = BenchProtocol(warmup=1, repeat=2)
+
+
+def _entry(
+    name: str,
+    params: Dict,
+    digest: str,
+    timing: TimingStats,
+    reference: TimingStats,
+    counters: Optional[Dict] = None,
+) -> Dict:
+    """One report entry: the fast path's timing next to its
+    reference's, the speedup between them, and optional counters."""
+    entry = {
+        "name": name,
+        "params": params,
+        "input_digest": digest,
+        "timing": timing.to_dict(),
+        "reference_timing": reference.to_dict(),
+        "speedup": reference.best_s / timing.best_s,
+    }
+    if counters is not None:
+        entry["counters"] = counters
+    return entry
 
 
 def _scenario(
@@ -153,51 +174,15 @@ def bench_traffic_replay(protocol: BenchProtocol, seed: int, quick: bool) -> Dic
     network.reset_stats()
     # Mode-independent name (batch lives in params) so a --quick run
     # can gate against a committed full-mode baseline.
-    return {
-        "name": "traffic_replay_batched",
-        "params": {"batch": batch, "input_hw": list(input_hw),
-                   "node_grid": [4, 4], "seed": seed},
-        "input_digest": input_digest(
+    return _entry(
+        "traffic_replay_batched",
+        {"batch": batch, "input_hw": list(input_hw), "node_grid": [4, 4],
+         "seed": seed},
+        input_digest(
             extra=f"traffic_replay seed={seed} batch={batch} hw={input_hw}"
         ),
-        "timing": timing.to_dict(),
-        "reference_timing": reference.to_dict(),
-        "speedup": reference.best_s / timing.best_s,
-        "counters": counters.to_dict(),
-    }
-
-
-def bench_forward_e2e(protocol: BenchProtocol, seed: int, quick: bool) -> Dict:
-    batch = 8 if quick else 32
-    input_hw = (10, 10) if quick else (12, 12)
-    __, __, __, __, network, executor = _scenario(seed, input_hw, (4, 4))
-    rng = np.random.default_rng(seed + 1)
-    x = rng.normal(size=(batch, 1) + tuple(input_hw))
-    # Pinned plan=None throughout: this entry measures the event-driven
-    # replay modes against each other (forward_plan owns the compiled
-    # comparison).
-    executor.forward(x, count_traffic=False, plan=None)  # caches, untimed
-
-    def forward_reference(__) -> np.ndarray:
-        executor.replay_traffic_reference(batch)
-        return executor.model.forward(x, training=False)
-
-    timing = measure(
-        lambda __: executor.forward(x, plan=None),
-        protocol, setup=network.reset_stats,
+        timing, reference, counters.to_dict(),
     )
-    reference = measure(
-        forward_reference, protocol, setup=network.reset_stats,
-    )
-    network.reset_stats()
-    return {
-        "name": "forward_e2e",
-        "params": {"batch": batch, "input_hw": list(input_hw), "seed": seed},
-        "input_digest": input_digest(x, extra=f"forward_e2e seed={seed}"),
-        "timing": timing.to_dict(),
-        "reference_timing": reference.to_dict(),
-        "speedup": reference.best_s / timing.best_s,
-    }
 
 
 def _full_stats(network: Network) -> Dict:
@@ -242,10 +227,11 @@ def bench_forward_plan(protocol: BenchProtocol, seed: int, quick: bool) -> Dict:
     __, __, __, __, network, executor = _scenario(seed, input_hw, (4, 4))
     rng = np.random.default_rng(seed + 8)
     x = rng.normal(size=(batch, 1) + tuple(input_hw))
-    plan = executor.compiled_plan()  # compile outside the timers
+    hops = compile_plan(executor).hops  # raises unless a plan can serve
     counters = CounterRegistry()
 
-    # Untimed differential parity against the oracle.
+    # Untimed differential parity against the oracle (the first planned
+    # forward also compiles the executor's own plan outside the timers).
     network.reset_stats()
     out_plan = executor.forward(x)
     plan_stats = _full_stats(network)
@@ -263,10 +249,9 @@ def bench_forward_plan(protocol: BenchProtocol, seed: int, quick: bool) -> Dict:
         )
     counters.set("parity_logits_identical", 1.0)
     counters.set("parity_stats_equal", 1.0)
-    describe = plan.describe()
-    counters.set("n_links", describe["links"])
-    counters.set("n_transfer_groups", describe["transfer_groups"])
-    counters.set("values_per_inference", describe["values_per_inference"])
+    counters.set("n_links", hops.n_links)
+    counters.set("n_transfer_groups", hops.n_transfer_groups)
+    counters.set("values_per_inference", hops.total_values())
     counters.set("batch", batch)
 
     timing = measure(
@@ -278,16 +263,13 @@ def bench_forward_plan(protocol: BenchProtocol, seed: int, quick: bool) -> Dict:
         protocol, setup=network.reset_stats,
     )
     network.reset_stats()
-    return {
-        "name": "forward_plan",
-        "params": {"batch": batch, "input_hw": list(input_hw),
-                   "node_grid": [4, 4], "seed": seed},
-        "input_digest": input_digest(x, extra=f"forward_plan seed={seed}"),
-        "timing": timing.to_dict(),
-        "reference_timing": reference.to_dict(),
-        "speedup": reference.best_s / timing.best_s,
-        "counters": counters.to_dict(),
-    }
+    return _entry(
+        "forward_plan",
+        {"batch": batch, "input_hw": list(input_hw), "node_grid": [4, 4],
+         "seed": seed},
+        input_digest(x, extra=f"forward_plan seed={seed}"),
+        timing, reference, counters.to_dict(),
+    )
 
 
 def bench_forward_masked(protocol: BenchProtocol, seed: int, quick: bool) -> Dict:
@@ -308,18 +290,13 @@ def bench_forward_masked(protocol: BenchProtocol, seed: int, quick: bool) -> Dic
     reference = measure(
         lambda: executor.forward_masked_reference(x, dead), protocol
     )
-    return {
-        "name": "forward_masked_dead20",
-        "params": {"batch": batch, "input_hw": list(input_hw),
-                   "node_grid": list(node_grid), "dead_nodes": dead,
-                   "seed": seed},
-        "input_digest": input_digest(
-            x, extra=f"forward_masked seed={seed} dead={dead}"
-        ),
-        "timing": timing.to_dict(),
-        "reference_timing": reference.to_dict(),
-        "speedup": reference.best_s / timing.best_s,
-    }
+    return _entry(
+        "forward_masked_dead20",
+        {"batch": batch, "input_hw": list(input_hw),
+         "node_grid": list(node_grid), "dead_nodes": dead, "seed": seed},
+        input_digest(x, extra=f"forward_masked seed={seed} dead={dead}"),
+        timing, reference,
+    )
 
 
 def bench_im2col_unfold(protocol: BenchProtocol, seed: int, quick: bool) -> Dict:
@@ -335,15 +312,13 @@ def bench_im2col_unfold(protocol: BenchProtocol, seed: int, quick: bool) -> Dict
 
     timing = measure(lambda: im2col_cached(x, kh, kw, stride, 0), protocol)
     reference = measure(lambda: im2col(x, kh, kw, stride, 0), protocol)
-    return {
-        "name": "im2col_unfold",
-        "params": {"shape": list(shape), "kernel": [kh, kw],
-                   "stride": stride, "pad": 0, "seed": seed},
-        "input_digest": input_digest(x, extra=f"im2col_unfold seed={seed}"),
-        "timing": timing.to_dict(),
-        "reference_timing": reference.to_dict(),
-        "speedup": reference.best_s / timing.best_s,
-    }
+    return _entry(
+        "im2col_unfold",
+        {"shape": list(shape), "kernel": [kh, kw], "stride": stride,
+         "pad": 0, "seed": seed},
+        input_digest(x, extra=f"im2col_unfold seed={seed}"),
+        timing, reference,
+    )
 
 
 class _ScriptedFaultAdapter:
@@ -453,101 +428,38 @@ def bench_local_backward(
         protocol, setup=model.zero_grads,
     )
     model.zero_grads()
-    return {
-        "name": "local_backward",
-        "params": {"batch": batch, "input_hw": list(input_hw),
-                   "node_grid": [4, 4], "dead_nodes": dead, "seed": seed},
-        "input_digest": input_digest(
-            x, y, extra=f"local_backward seed={seed}"
-        ),
-        "timing": timing.to_dict(),
-        "reference_timing": reference.to_dict(),
-        "speedup": reference.best_s / timing.best_s,
-        "counters": counters.to_dict(),
-    }
-
-
-def bench_train_epoch(protocol: BenchProtocol, seed: int, quick: bool) -> Dict:
-    """End-to-end training epoch, vectorized vs. reference backward.
-
-    Twin trainers over identically-seeded models; every ``fit`` call
-    gets a fresh identically-seeded rng, so both sides (and every
-    timed run) see the same batch order.  One epoch of weight parity
-    is asserted untimed before the clocks start.
-    """
-    n_samples = 16 if quick else 64
-    input_hw = (10, 10)
-
-    def make_trainer(impl: str) -> MicroDeepTrainer:
-        __, graph, __, placement, __, __ = _scenario(seed, input_hw, (4, 4))
-        return MicroDeepTrainer(
-            graph, placement, SGD(lr=0.05), "local", backward_impl=impl
-        )
-
-    rng = np.random.default_rng(seed + 5)
-    x = rng.normal(size=(n_samples, 1) + input_hw)
-    y = rng.integers(0, 2, size=n_samples)
-    vec = make_trainer("vectorized")
-    ref = make_trainer("reference")
-
-    # Untimed parity: identical weights after one identically-ordered
-    # epoch (pinned tolerance; see bench_local_backward).
-    for trainer in (vec, ref):
-        trainer.fit(
-            x, y, epochs=1, batch_size=8, rng=np.random.default_rng(seed + 6)
-        )
-    max_diff = max(
-        float(np.max(np.abs(a - b)))
-        for a, b in zip(vec.model.get_weights(), ref.model.get_weights())
+    return _entry(
+        "local_backward",
+        {"batch": batch, "input_hw": list(input_hw), "node_grid": [4, 4],
+         "dead_nodes": dead, "seed": seed},
+        input_digest(x, y, extra=f"local_backward seed={seed}"),
+        timing, reference, counters.to_dict(),
     )
-    if max_diff > 1e-9:  # pragma: no cover - parity contract
-        raise AssertionError(
-            f"vectorized train epoch diverged from reference: {max_diff}"
-        )
-
-    def fit_rng() -> np.random.Generator:
-        return np.random.default_rng(seed + 6)
-
-    timing = measure(
-        lambda rng: vec.fit(x, y, epochs=1, batch_size=8, rng=rng),
-        protocol, setup=fit_rng,
-    )
-    reference = measure(
-        lambda rng: ref.fit(x, y, epochs=1, batch_size=8, rng=rng),
-        protocol, setup=fit_rng,
-    )
-    return {
-        "name": "train_epoch",
-        "params": {"n_samples": n_samples, "batch_size": 8,
-                   "input_hw": list(input_hw), "seed": seed},
-        "input_digest": input_digest(x, y, extra=f"train_epoch seed={seed}"),
-        "timing": timing.to_dict(),
-        "reference_timing": reference.to_dict(),
-        "speedup": reference.best_s / timing.best_s,
-        "counters": {"parity_max_abs_diff": max_diff},
-    }
 
 
-def bench_telemetry_overhead(
-    protocol: BenchProtocol, seed: int, quick: bool
+def _overhead_entry(
+    name: str,
+    protocol: BenchProtocol,
+    seed: int,
+    quick: bool,
+    tel,
+    tick: Optional[Callable[[], object]] = None,
 ) -> Dict:
-    """forward_e2e with a live telemetry session vs. the null backend.
+    """The event-driven forward on the live backend ``tel`` (followed
+    by ``tick()`` when given) timed against the null backend.
 
     Both executors get their backend injected explicitly, so the result
     is independent of any session installed around the suite (e.g.
-    ``repro bench --trace``).  ``counters.overhead_pct`` is the
-    headline number; the documented budget is < 5 %.
-
-    Pinned ``plan=None``: the event-driven path is the span-richest
-    instrumentation (one ``exec.layer`` span per layer inside
-    ``exec.forward`` plus ``exec.replay``), so its overhead bounds the
-    compiled path's single ``exec.plan`` span from above.
+    ``repro bench --trace``).  A ratio of two ~10 ms workloads needs
+    tighter statistics than the default 3-run best-of: the runs are
+    interleaved (on, off) pairs so clock/thermal drift hits both sides
+    equally, and ``counters.overhead_pct`` comes from the medians.
+    Resetting the stats and clearing the tracer is untimed.
     """
-    from repro.obs.runtime import NULL, Telemetry
+    from repro.obs.runtime import NULL
 
     batch = 8 if quick else 32
     input_hw = (10, 10) if quick else (12, 12)
-    tel = Telemetry()
     __, __, __, __, net_on, exec_on = _scenario(
         seed, input_hw, (4, 4), telemetry=tel
     )
@@ -558,55 +470,61 @@ def bench_telemetry_overhead(
     x = rng.normal(size=(batch, 1) + tuple(input_hw))
     exec_on.forward(x, count_traffic=False, plan=None)  # caches, untimed
     exec_off.forward(x, count_traffic=False, plan=None)
-
-    def setup_on() -> None:
-        net_on.reset_stats()
-        tel.clear()
-
-    # A ratio of two ~10 ms workloads needs tighter statistics than the
-    # default 3-run best-of: run interleaved (traced, null) pairs so
-    # clock/thermal drift hits both sides equally, and take the
-    # overhead from the medians.
-    for __ in range(protocol.warmup):
-        setup_on()
-        exec_on.forward(x, plan=None)
-        net_off.reset_stats()
-        exec_off.forward(x, plan=None)
     runs_on: List[float] = []
     runs_off: List[float] = []
-    for __ in range(protocol.repeat * 3):
-        setup_on()
+    for i in range(protocol.warmup + protocol.repeat * 3):
+        net_on.reset_stats()
+        tel.clear()
         t0 = time.perf_counter()
         exec_on.forward(x, plan=None)
-        runs_on.append(time.perf_counter() - t0)
+        if tick is not None:
+            tick()
+        on_s = time.perf_counter() - t0
         net_off.reset_stats()
         t0 = time.perf_counter()
         exec_off.forward(x, plan=None)
-        runs_off.append(time.perf_counter() - t0)
-    traced = TimingStats(runs_on)
-    null = TimingStats(runs_off)
-    spans_per_run = float(len(tel.tracer.events))  # last timed run's spans
-    return {
-        "name": "telemetry_overhead",
-        "params": {"batch": batch, "input_hw": list(input_hw), "seed": seed},
-        "input_digest": input_digest(
-            x, extra=f"telemetry_overhead seed={seed}"
-        ),
-        "timing": traced.to_dict(),
-        "reference_timing": null.to_dict(),
-        "speedup": null.best_s / traced.best_s,
-        "counters": {
-            "overhead_pct": (traced.median_s / null.median_s - 1.0) * 100.0,
-            "budget_pct": 5.0,
-            "spans_per_run": spans_per_run,
-        },
-    }
+        off_s = time.perf_counter() - t0
+        if i >= protocol.warmup:
+            runs_on.append(on_s)
+            runs_off.append(off_s)
+    on = TimingStats(runs_on)
+    off = TimingStats(runs_off)
+    return _entry(
+        name,
+        {"batch": batch, "input_hw": list(input_hw), "seed": seed},
+        input_digest(x, extra=f"{name} seed={seed}"),
+        on, off,
+        {"overhead_pct": (on.median_s / off.median_s - 1.0) * 100.0,
+         "budget_pct": 5.0},
+    )
+
+
+def bench_telemetry_overhead(
+    protocol: BenchProtocol, seed: int, quick: bool
+) -> Dict:
+    """The event-driven forward with a live telemetry session vs. the
+    null backend; ``counters.overhead_pct`` is the headline number and
+    the documented budget is < 5 %.
+
+    Pinned ``plan=None``: the event-driven replay pushes every transfer
+    group through the instrumented network (``exec.replay`` span, then
+    the ``exec.forward`` span around the layer loop), so its overhead
+    bounds the compiled path's single bulk update from above.
+    """
+    from repro.obs.runtime import Telemetry
+
+    tel = Telemetry()
+    entry = _overhead_entry("telemetry_overhead", protocol, seed, quick, tel)
+    # The tracer is cleared before each run: these are the last run's.
+    entry["counters"]["spans_per_run"] = float(len(tel.tracer.events))
+    return entry
 
 
 def bench_timeline_overhead(
     protocol: BenchProtocol, seed: int, quick: bool
 ) -> Dict:
-    """forward_e2e + a flight-recorder tick per pass vs. telemetry off.
+    """The telemetry_overhead workload + a flight-recorder tick per pass
+    vs. telemetry off.
 
     The traced side runs a live :class:`~repro.obs.runtime.Telemetry`
     *and* samples a :class:`repro.obs.timeline.FlightRecorder` after
@@ -625,66 +543,35 @@ def bench_timeline_overhead(
       sample_if_due()`` call, measured over a large loop
       (indistinguishable from zero next to a ~ms forward).
     """
-    from repro.obs.runtime import NULL, Telemetry
+    from repro.obs.runtime import Telemetry
     from repro.obs.timeline import NULL_RECORDER, FlightRecorder
 
-    batch = 8 if quick else 32
-    input_hw = (10, 10) if quick else (12, 12)
     tel = Telemetry()
-    __, __, __, __, net_on, exec_on = _scenario(
-        seed, input_hw, (4, 4), telemetry=tel
-    )
-    __, __, __, __, net_off, exec_off = _scenario(
-        seed, input_hw, (4, 4), telemetry=NULL
-    )
+    # The tracer is cleared per run (spans would grow without bound);
+    # the recorder is NOT — its ring holds the whole loop (capacity
+    # 256 > warmup + 3*repeat), so the timed samples are steady-state
+    # ticks, the regime the 5% budget is about.
     recorder = FlightRecorder(tel, interval=1.0, capacity=256, window=8)
-    rng = np.random.default_rng(seed + 1)
-    x = rng.normal(size=(batch, 1) + tuple(input_hw))
-    exec_on.forward(x, count_traffic=False, plan=None)  # caches, untimed
-    exec_off.forward(x, count_traffic=False, plan=None)
-
-    def setup_on() -> None:
-        # The tracer is cleared per run (spans would grow without
-        # bound); the recorder is NOT — its ring holds the whole loop
-        # (capacity 256 > warmup + 3*repeat), so the timed samples are
-        # steady-state ticks, the regime the 5% budget is about.
-        net_on.reset_stats()
-        tel.clear()
-
-    # Interleaved (recorded, off) pairs, medians — same statistics
-    # discipline as telemetry_overhead (the ratio of two ~10 ms
-    # workloads needs it).
-    for __ in range(protocol.warmup):
-        setup_on()
-        exec_on.forward(x, plan=None)
-        recorder.sample()
-        net_off.reset_stats()
-        exec_off.forward(x, plan=None)
-    runs_on: List[float] = []
-    runs_off: List[float] = []
-    for __ in range(protocol.repeat * 3):
-        setup_on()
-        t0 = time.perf_counter()
-        exec_on.forward(x, plan=None)
-        recorder.sample()
-        runs_on.append(time.perf_counter() - t0)
-        net_off.reset_stats()
-        t0 = time.perf_counter()
-        exec_off.forward(x, plan=None)
-        runs_off.append(time.perf_counter() - t0)
-    recorded = TimingStats(runs_on)
-    off = TimingStats(runs_off)
-    series_per_sample = float(len(recorder.latest().points))
+    entry = _overhead_entry(
+        "timeline_overhead", protocol, seed, quick, tel, recorder.sample
+    )
+    counters = entry["counters"]
+    counters["series_per_sample"] = float(len(recorder.latest().points))
 
     # NULL-backend cost: a tight loop over the inert recorder.
     null_loops = 10_000
     t0 = time.perf_counter()
     for __ in range(null_loops):
         NULL_RECORDER.sample_if_due()
-    null_sample_ns = (time.perf_counter() - t0) / null_loops * 1e9
+    counters["null_sample_ns"] = (
+        (time.perf_counter() - t0) / null_loops * 1e9
+    )
 
     # Determinism certification: two fresh seeded runs, identical
     # timeline bytes (index clock, same forwards, same sampling).
+    batch = entry["params"]["batch"]
+    input_hw = tuple(entry["params"]["input_hw"])
+
     def seeded_digest() -> str:
         run_tel = Telemetry()
         __, __, __, __, __, run_exec = _scenario(
@@ -701,24 +588,10 @@ def bench_timeline_overhead(
             run_rec.sample()
         return run_rec.digest()
 
-    parity = float(seeded_digest() == seeded_digest())
-    return {
-        "name": "timeline_overhead",
-        "params": {"batch": batch, "input_hw": list(input_hw), "seed": seed},
-        "input_digest": input_digest(
-            x, extra=f"timeline_overhead seed={seed}"
-        ),
-        "timing": recorded.to_dict(),
-        "reference_timing": off.to_dict(),
-        "speedup": off.best_s / recorded.best_s,
-        "counters": {
-            "overhead_pct": (recorded.median_s / off.median_s - 1.0) * 100.0,
-            "budget_pct": 5.0,
-            "series_per_sample": series_per_sample,
-            "null_sample_ns": null_sample_ns,
-            "parity_digest_identical": parity,
-        },
-    }
+    counters["parity_digest_identical"] = float(
+        seeded_digest() == seeded_digest()
+    )
+    return entry
 
 
 def bench_serve_throughput(
@@ -859,29 +732,23 @@ def bench_serve_throughput(
     timing: TimingStats = results["on"]
     reference: TimingStats = results["off"]
     best_report = results["report"]
-    return {
-        "name": "serve_throughput",
-        "params": {
-            "n_requests": n_requests, "concurrency": concurrency,
-            "tenants": list(tenants), "max_batch": batched_policy.max_batch,
-            "max_delay": batched_policy.max_delay, "seed": seed,
-        },
-        "input_digest": input_digest(
+    return _entry(
+        "serve_throughput",
+        {"n_requests": n_requests, "concurrency": concurrency,
+         "tenants": list(tenants), "max_batch": batched_policy.max_batch,
+         "max_delay": batched_policy.max_delay, "seed": seed},
+        input_digest(
             *[per_tenant[name] for name in tenants],
             extra=f"serve_throughput seed={seed} n={n_requests}",
         ),
-        "timing": timing.to_dict(),
-        "reference_timing": reference.to_dict(),
-        "speedup": reference.best_s / timing.best_s,
-        "counters": {
-            "rps": n_requests / timing.best_s,
-            "p50_ms": best_report.p50_s * 1e3,
-            "p99_ms": best_report.p99_s * 1e3,
-            "mean_batch": results["mean_batch"],
-            "parity_logits_bitwise": 1.0,
-            "parity_metrics_reconciled": 1.0,
-        },
-    }
+        timing, reference,
+        {"rps": n_requests / timing.best_s,
+         "p50_ms": best_report.p50_s * 1e3,
+         "p99_ms": best_report.p99_s * 1e3,
+         "mean_batch": results["mean_batch"],
+         "parity_logits_bitwise": 1.0,
+         "parity_metrics_reconciled": 1.0},
+    )
 
 
 def bench_city_scale(protocol: BenchProtocol, seed: int, quick: bool) -> Dict:
@@ -1076,32 +943,25 @@ def bench_city_scale(protocol: BenchProtocol, seed: int, quick: bool) -> Dict:
         setup=net_reference.reset_stats,
     )
     net_spatial.reset_stats()
-    return {
-        "name": "city_scale",
-        "params": {
-            "n_nodes": n_nodes, "side": side, "comm_range": comm_range,
-            "m_sample": m_sample, "k_routes": k_routes,
-            "dead_frac": dead_frac, "sub_window": sub_window, "seed": seed,
-        },
-        "input_digest": input_digest(
+    return _entry(
+        "city_scale",
+        {"n_nodes": n_nodes, "side": side, "comm_range": comm_range,
+         "m_sample": m_sample, "k_routes": k_routes,
+         "dead_frac": dead_frac, "sub_window": sub_window, "seed": seed},
+        input_digest(
             topology.positions_view(), topology.alive_view(),
             extra=f"city_scale seed={seed} n={n_nodes} r={comm_range}",
         ),
-        "timing": timing.to_dict(),
-        "reference_timing": reference.to_dict(),
-        "speedup": reference.best_s / timing.best_s,
-        "counters": counters.to_dict(),
-    }
+        timing, reference, counters.to_dict(),
+    )
 
 
 _BENCHMARKS = (
     bench_traffic_replay,
-    bench_forward_e2e,
     bench_forward_plan,
     bench_forward_masked,
     bench_im2col_unfold,
     bench_local_backward,
-    bench_train_epoch,
     bench_telemetry_overhead,
     bench_timeline_overhead,
     bench_serve_throughput,

@@ -19,7 +19,8 @@ Endpoints:
 ``GET /traces``
     The trace events recorded so far as deterministic JSONL (one
     Chrome-trace event per line) — ``serve.batch`` spans nest the
-    executor's ``exec.plan``/``exec.forward`` spans.
+    executor's traffic span: ``exec.plan`` in steady state,
+    ``exec.replay`` on fallback.
 ``GET /timeline``
     The flight recorder's retained ring-buffer samples as canonical
     JSONL; ``GET /timeline?format=json`` returns a document with the

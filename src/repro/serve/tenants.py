@@ -25,12 +25,13 @@ dispatcher coalesced it** — the property the serving test suite pins
 interleaving, and served-over-HTTP equal to a direct forward).
 
 Traffic is accounted for the *real* request count, never the pad row:
-the math runs with ``count_traffic=False`` and the accounting is
-applied separately — one bulk :meth:`~repro.wsn.Network
-.account_compiled` update in the steady state, or the event-driven
-:meth:`~repro.core.DistributedExecutor.replay_traffic` when the
-tenant's fault state forces the oracle — so ``/metrics`` reconciles
-exactly with the number of requests served.
+the math runs through the executor's layer loop alone
+(:meth:`~repro.core.DistributedExecutor.forward_hooked`) and the
+accounting is applied once per micro-batch by
+:meth:`~repro.core.DistributedExecutor.account_traffic` — one bulk
+compiled update in the steady state, or the event-driven replay when
+the tenant's fault state forces the oracle — so ``/metrics``
+reconciles exactly with the number of requests served.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.core.assignment import grid_correspondence_assignment
-from repro.core.compiled import PlanNotCompilable
 from repro.core.compiled.compiler import plan_blocked
 from repro.core.executor import DistributedExecutor
 from repro.core.training import MicroDeepTrainer
@@ -160,10 +160,11 @@ class Tenant:
         blocked = plan_blocked(self.executor)
         return None if blocked is None else blocked[0]
 
-    def _fixed_shape_forward(self, x: np.ndarray) -> np.ndarray:
+    def direct_forward(self, x: np.ndarray) -> np.ndarray:
         """Forward ``x`` in chunks of exactly :data:`SERVE_BATCH` rows
         (short chunks padded with copies of their last row), traffic
-        untouched; returns one logits row per input row."""
+        untouched; returns one logits row per input row.  The serving
+        path runs this, so it is also the serial parity baseline."""
         k = int(x.shape[0])
         rows = []
         for start in range(0, k, SERVE_BATCH):
@@ -172,9 +173,7 @@ class Tenant:
             if c < SERVE_BATCH:
                 pad = np.repeat(chunk[-1:], SERVE_BATCH - c, axis=0)
                 chunk = np.concatenate([chunk, pad], axis=0)
-            rows.append(
-                self.executor.forward(chunk, count_traffic=False)[:c]
-            )
+            rows.append(self.executor.forward_hooked(chunk)[:c])
         return rows[0] if len(rows) == 1 else np.concatenate(rows, axis=0)
 
     def infer(self, x: np.ndarray) -> Tuple[np.ndarray, str]:
@@ -188,22 +187,10 @@ class Tenant:
         is accounted on the tenant's network — never the pad rows.
         """
         k = int(x.shape[0])
-        logits = self._fixed_shape_forward(x)
-        try:
-            plan = self.executor.compiled_plan()
-        except PlanNotCompilable as exc:
-            self.executor.replay_traffic(k)
-            served_by = f"fallback:{exc.reason}"
-        else:
-            self.network.account_compiled(plan.hops, copies=k)
-            served_by = "plan"
+        logits = self.direct_forward(x)
+        served_by = self.executor.account_traffic(k)
         self.served += k
         return logits, served_by
-
-    def direct_forward(self, x: np.ndarray) -> np.ndarray:
-        """The serial parity baseline: the same fixed-shape forward
-        the serving path runs, with traffic untouched."""
-        return self._fixed_shape_forward(x)
 
     def describe(self) -> Dict:
         return {

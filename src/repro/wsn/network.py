@@ -7,8 +7,10 @@ executor's measured costs can be checked against the static cost model
 (a property the test suite enforces).
 
 All per-hop tallies — node counters, aggregate stats, per-link values
-— advance through the single :meth:`Network._account_hop` choke point,
-and drops are attributed to a cause (``fault`` / ``loss`` /
+— advance through two choke points: :meth:`Network._account_hop` for
+the message paths, and :meth:`Network.account_compiled`, which applies
+a compiled plan's pre-aggregated tallies to the same counters in bulk.
+Drops are attributed to a cause (``fault`` / ``loss`` /
 ``unroutable``).  When a telemetry session is installed
 (:mod:`repro.obs`), the network registers a pull collector that mirrors
 its counters into the metrics registry with zero hot-path overhead,

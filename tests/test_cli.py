@@ -50,13 +50,20 @@ class TestTrainCli:
         assert "epoch   2" in out
         assert "final:" in out
 
-    def test_train_reference_impl_and_exact_mode(self, capsys):
-        assert main(["train", "--impl", "reference", "--epochs", "1",
-                     "--samples", "16"]) == 0
-        assert "impl=reference" in capsys.readouterr().out
+    def test_train_exact_mode(self, capsys):
         assert main(["train", "--mode", "exact", "--epochs", "1",
                      "--samples", "16"]) == 0
         assert "mode=exact" in capsys.readouterr().out
+
+    def test_impl_flag_is_gone(self, capsys):
+        """The backward implementation is not a user switch: the
+        vectorized path always trains, and ``--impl`` is a usage
+        error."""
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--impl", "reference", "--epochs", "1",
+                  "--samples", "16"])
+        assert exc.value.code == 2
+        assert "--impl" in capsys.readouterr().err
 
     def test_train_trace_writes_jsonl(self, tmp_path, capsys):
         trace = tmp_path / "train.jsonl"

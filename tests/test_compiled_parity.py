@@ -6,8 +6,8 @@ The compiled fast path (:mod:`repro.core.compiled`) must be
 allowed to run: byte-identical logits and exactly equal traffic
 counters — every global and per-node counter the network keeps — across
 placements, model shapes, and batch sizes.  Where it is not allowed to
-run (fault adapter, lossy links, installed link-fault model, node
-down), it must either refuse with the typed
+run (lossy links, installed link-fault model, node down, unroutable
+transfer), it must either refuse with the typed
 :class:`~repro.core.PlanNotCompilable` or fall back to the oracle —
 never be silently wrong.
 
@@ -18,6 +18,7 @@ digest is required to equal the oracle's.
 
 import hashlib
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -151,7 +152,6 @@ class TestCompiledParity:
         ex = DistributedExecutor(model, graph, placement, net)
         x = make_batch("conv_pool", 4)
         out = ex.forward(x, count_traffic=False)
-        assert ex._compiled_plan is not None
         assert net.stats.sent == 0
         assert stats_snapshot(net) == stats_snapshot(Network(topo))
         ref = ex.forward(x, count_traffic=False, plan=None)
@@ -221,12 +221,22 @@ class TestCompiledParity:
         assert compiled_digest == oracle_digests[0]
 
 
+#: Network states and the traffic decision each one forces.
+TRAFFIC_STATES = {
+    "steady": "plan",
+    "node-down": "fallback:node-down",
+    "lossy-links": "fallback:lossy-links",
+    "link-faults": "fallback:link-faults",
+    "unroutable": "fallback:unroutable",
+}
+
+
 class TestFallbackTriggers:
-    """A fault adapter, lossy link model, installed LinkFaultModel, or
-    down node must route :meth:`forward` back to the event-driven path
-    — observable in the trace as ``exec.forward`` spans instead of
-    ``exec.plan`` — and produce results identical to a never-compiled
-    run."""
+    """A lossy link model, installed LinkFaultModel, down node, or
+    unroutable transfer must route the traffic of :meth:`forward` back
+    to the event-driven replay — observable in the trace as an
+    ``exec.forward`` span without ``exec.plan`` — and produce results
+    identical to a never-compiled run."""
 
     def _setup(self, tel=None, **net_kwargs):
         model, graph, topo = make("conv_pool")
@@ -325,26 +335,6 @@ class TestFallbackTriggers:
 
         assert run("auto") == run(None)
 
-    def test_fault_adapter_blocks_plan(self):
-        from repro.obs.runtime import session
-
-        x = make_batch("conv_pool", 2)
-        with session() as tel:
-            model, graph, topo = make("conv_pool")
-            placement = grid_correspondence_assignment(graph, topo)
-            net = Network(topo, telemetry=tel)
-            ex = DistributedExecutor(
-                model, graph, placement, net, telemetry=tel,
-                fault_adapter=object(),
-            )
-            ex.forward(x)
-            names = self._span_names(tel)
-            assert "exec.forward" in names
-            assert "exec.plan" not in names
-            with pytest.raises(PlanNotCompilable) as err:
-                ex.compiled_plan()
-            assert err.value.reason == "fault-adapter"
-
     def test_plan_none_forces_event_path(self):
         model, graph, topo = make("conv_pool")
         placement = grid_correspondence_assignment(graph, topo)
@@ -371,6 +361,53 @@ class TestFallbackTriggers:
             assert rows[
                 ("exec.plan_fallbacks", (("reason", "node-down"),))
             ] == 1.0
+
+    def _in_state(self, state, tel):
+        kwargs = {}
+        if state == "lossy-links":
+            kwargs = dict(loss_probability=0.3, rng=np.random.default_rng(0))
+        __, __, topo, __, net, ex = self._setup(tel=tel, **kwargs)
+        victim = sorted(topo.nodes)[5]
+        if state == "node-down":
+            topo.node(victim).alive = False
+        elif state == "link-faults":
+            net.link_faults = LinkFaultModel(loss_rate=0.5, seed=3)
+        elif state == "unroutable":
+            move(topo, victim, 10.0, 10.0)  # out of every node's range
+        return net, ex
+
+    @pytest.mark.parametrize("state", sorted(TRAFFIC_STATES))
+    def test_account_traffic_then_math_is_forward(self, state):
+        """``account_traffic`` names the path it took and counts it;
+        followed by a traffic-free forward it is exactly ``forward`` —
+        same logits bytes, same TrafficStats, same node counters — and
+        both equal the event-driven oracle (``plan=None``)."""
+        from repro.obs.runtime import Telemetry
+
+        x = make_batch("conv_pool", 3)
+        net_ref, ex_ref = self._in_state(state, Telemetry())
+        out_ref = ex_ref.forward(x, plan=None)
+        net_fwd, ex_fwd = self._in_state(state, Telemetry())
+        out_fwd = ex_fwd.forward(x)
+        tel = Telemetry()
+        net, ex = self._in_state(state, tel)
+        assert ex.account_traffic(len(x)) == TRAFFIC_STATES[state]
+        out = ex.forward(x, count_traffic=False)
+        for other_out, other_net in ((out_fwd, net_fwd), (out_ref, net_ref)):
+            assert out.tobytes() == other_out.tobytes()
+            assert asdict(net.stats) == asdict(other_net.stats)
+            assert stats_snapshot(net) == stats_snapshot(other_net)
+        rows = {
+            (name, tuple(map(tuple, labels))): value
+            for name, labels, kind, value in tel.metrics.snapshot()
+            if name.startswith("exec.plan")
+        }
+        if state == "steady":
+            assert rows == {("exec.plan_runs", ()): 1.0}
+        else:
+            assert rows == {
+                ("exec.plan_fallbacks", (("reason", state),)): 1.0
+            }
 
 
 def demo_model():
@@ -481,8 +518,7 @@ class TestCompiledProperties:
             plan = compile_plan(ex)
         except PlanNotCompilable as err:
             assert err.reason in {
-                "lossy-links", "link-faults", "node-down",
-                "fault-adapter", "unroutable",
+                "lossy-links", "link-faults", "node-down", "unroutable",
             }
             # auto still serves the forward via the oracle.
             out = ex.forward(x)
@@ -496,7 +532,8 @@ class TestCompiledProperties:
             assert out.tobytes() == ref.tobytes()
             assert auto_stats == stats_snapshot(net_ref)
             return
-        out = plan.run(x)
+        plan.run(batch)
+        out = ex.forward(x, count_traffic=False)
         plan_stats = stats_snapshot(net)
         net.reset_stats()  # node counters are shared via topo
         net_ref = Network(topo)

@@ -24,6 +24,11 @@ Placement reads (``node_of``, ``input_node``, ``unit_node``) belong to
 the placement, its :class:`~repro.core.PlacementIndex`, the one
 transfer derivation, and ``*_reference`` oracles: every other consumer
 reads the index, so owner maps cannot be rebuilt on the side again.
+
+In ``repro.core``, ``repro.serve`` and ``repro.faults`` the CNN's
+arithmetic runs through one layer loop,
+:meth:`~repro.core.DistributedExecutor.forward_hooked`: no other
+function there loops over layers calling their ``forward``.
 """
 
 import ast
@@ -574,3 +579,99 @@ def test_placement_lint_detects_violations():
     assert not placement_reads(
         ast.parse(derivation), frozenset({"_layer_transfers"})
     )
+
+
+#: Packages whose arithmetic runs through the executor's one loop.
+_LAYER_LOOP_PACKAGES = ("core", "serve", "faults")
+#: The one function there that loops over layers calling ``forward``.
+_LAYER_LOOP = ("core/executor.py", "forward_hooked")
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _bound_names(target):
+    return {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+
+
+def _root_name(expr):
+    while isinstance(expr, (ast.Attribute, ast.Subscript)):
+        expr = expr.value
+    return expr.id if isinstance(expr, ast.Name) else None
+
+
+def _runs_layer_forward(call, loop_names):
+    """``v.forward(...)``/``v.layer.forward(...)`` on a loop variable,
+    or a loop variable called with ``training=`` (a bound forward)."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr == "forward":
+        return _root_name(func.value) in loop_names
+    return (isinstance(func, ast.Name) and func.id in loop_names
+            and any(kw.arg == "training" for kw in call.keywords))
+
+
+def layer_forward_loops(tree):
+    """``(function, lineno)`` of every call that runs a layer forward
+    per iteration of a loop or comprehension, attributed to the
+    innermost enclosing function."""
+    found = {}
+    # ast.walk is breadth-first: nested functions come after their
+    # parents and overwrite the attribution.
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for loop in ast.walk(func):
+            if isinstance(loop, (ast.For, ast.AsyncFor)):
+                names, scope = _bound_names(loop.target), loop.body
+            elif isinstance(loop, _COMPREHENSIONS):
+                names = set().union(
+                    *(_bound_names(gen.target) for gen in loop.generators)
+                )
+                scope = [loop]
+            else:
+                continue
+            for part in scope:
+                for node in ast.walk(part):
+                    if (isinstance(node, ast.Call)
+                            and _runs_layer_forward(node, names)):
+                        found[node.lineno] = func.name
+    return sorted((name, line) for line, name in found.items())
+
+
+def test_one_layer_loop():
+    """``forward_hooked`` is the only layer loop, and the lint sees it."""
+    loops = []
+    for package in _LAYER_LOOP_PACKAGES:
+        for path in sorted((SRC / package).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            name = path.relative_to(SRC).as_posix()
+            loops += [(name, func) for func, __ in layer_forward_loops(tree)]
+    assert loops == [_LAYER_LOOP], (
+        "run the layers through DistributedExecutor.forward_hooked, not "
+        f"a second loop: {loops}"
+    )
+
+
+def test_layer_loop_lint_detects_violations():
+    for src in (
+        "def f(layers, x):\n    for layer in layers:\n"
+        "        x = layer.forward(x)\n",
+        "def f(graph, x):\n    for entry in graph.layers:\n"
+        "        with span():\n"
+        "            x = entry.layer.forward(x, training=False)\n",
+        "class P:\n    def run(self, x):\n        for op in self._ops:\n"
+        "            x = op(x, training=False)\n        return x\n",
+        "def f(layers, x):\n    return [l.forward(x) for l in layers]\n",
+    ):
+        assert layer_forward_loops(ast.parse(src)), src
+    for src in (
+        "def fit(model, batches):\n    for xb in batches:\n"
+        "        model.forward(xb, training=True)\n",
+        "def f(callbacks):\n    for cb in callbacks:\n        cb()\n",
+        "def f(model, x):\n    return model.forward(x, training=False)\n",
+    ):
+        assert not layer_forward_loops(ast.parse(src)), src
+    nested = (
+        "def outer(layers):\n    def inner(x):\n"
+        "        for layer in layers:\n            x = layer.forward(x)\n"
+        "        return x\n    return inner\n"
+    )
+    assert layer_forward_loops(ast.parse(nested)) == [("inner", 4)]

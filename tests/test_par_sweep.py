@@ -85,14 +85,14 @@ class TestTaskResolution:
     def test_callable_roundtrips_to_ref(self):
         assert task_ref(rng_task) == "repro.par.tasks:rng_task"
 
-    def test_nested_function_rejected_before_pool(self):
+    def test_nested_function_rejected(self):
         def nested(point, rng, shared):  # pragma: no cover - never runs
             return None
 
         with pytest.raises(ValueError, match="top-level function"):
             task_ref(nested)
 
-    def test_lambda_rejected_before_pool(self):
+    def test_lambda_rejected(self):
         with pytest.raises(ValueError, match="top-level function"):
             task_ref(lambda point, rng, shared: None)
 

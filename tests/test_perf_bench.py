@@ -45,9 +45,9 @@ class TestBenchCli:
                                            "repeat"}
         names = [b["name"] for b in report["benchmarks"]]
         assert names == [
-            "traffic_replay_batched", "forward_e2e", "forward_plan",
+            "traffic_replay_batched", "forward_plan",
             "forward_masked_dead20", "im2col_unfold", "local_backward",
-            "train_epoch", "telemetry_overhead", "timeline_overhead",
+            "telemetry_overhead", "timeline_overhead",
             "serve_throughput", "city_scale",
         ]
 
@@ -88,36 +88,11 @@ class TestBenchCli:
         assert counters["values_per_inference"] > 0
         assert counters["batch"] == 8
         assert bench["reference_timing"]["best_s"] > 0
-        assert bench["speedup"] > 0
-
-    def test_forward_e2e_and_plan_measure_different_paths(
-        self, quick_report
-    ):
-        """forward_e2e stays pinned to the event-driven path; the
-        compiled comparison lives only in forward_plan.  Guarding the
-        pin here keeps a future default flip from silently turning
-        forward_e2e into a compiled-vs-compiled no-op."""
-        __, report = quick_report
-        by_name = {b["name"]: b for b in report["benchmarks"]}
-        assert "forward_plan" in by_name
-        assert "forward_e2e" in by_name
-        # The plan benchmark's reference IS the e2e fast path; if the
-        # pin broke, timing and reference would converge to ~1x.  The
-        # compiled path must be well clear of that even in quick mode.
-        assert by_name["forward_plan"]["speedup"] > 2.0
-
-    def test_train_epoch_entry_reports_reference_and_parity(
-        self, quick_report
-    ):
-        """train_epoch now times vectorized vs. reference end-to-end
-        and certifies one-epoch weight parity untimed."""
-        __, report = quick_report
-        bench = next(
-            b for b in report["benchmarks"] if b["name"] == "train_epoch"
-        )
-        assert bench["reference_timing"]["best_s"] > 0
-        assert bench["speedup"] > 0
-        assert bench["counters"]["parity_max_abs_diff"] <= 1e-9
+        # The reference side is pinned to the event-driven replay; if
+        # that pin broke, both sides would take the compiled path and
+        # converge to ~1x.  The plan must be well clear of that even
+        # in quick mode.
+        assert bench["speedup"] > 2.0
 
     def test_serve_throughput_certifies_parity_and_latency(
         self, quick_report
