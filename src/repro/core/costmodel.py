@@ -177,19 +177,6 @@ class CommunicationCostModel:
     def __init__(self, graph: UnitGraph, topology: Topology) -> None:
         self.graph = graph
         self.topology = topology
-        #: Routes of the topology state :attr:`_route_epoch` names; a
-        #: node move or alive flip bumps the epoch and empties it.
-        self._route_cache: Dict[Tuple[int, int], Optional[list]] = {}
-        self._route_epoch = topology.epoch
-
-    def _route(self, src: int, dst: int) -> Optional[list]:
-        if self._route_epoch != self.topology.epoch:
-            self._route_cache = {}
-            self._route_epoch = self.topology.epoch
-        key = (src, dst)
-        if key not in self._route_cache:
-            self._route_cache[key] = shortest_path_route(self.topology, src, dst)
-        return self._route_cache[key]
 
     def _ship(
         self,
@@ -199,8 +186,9 @@ class CommunicationCostModel:
         n_values: int,
         layer_index: int,
     ) -> None:
-        """Account one transfer src -> dst including relay traffic."""
-        route = self._route(src, dst)
+        """Account one transfer src -> dst including relay traffic
+        (routes come from the topology's route memo)."""
+        route = shortest_path_route(self.topology, src, dst)
         if route is None:
             report.unroutable += 1
             return

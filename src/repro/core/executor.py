@@ -143,11 +143,9 @@ class DistributedExecutor:
             ``"plan"`` or ``"fallback:<reason>"``, the reason being one
             of :class:`~repro.core.compiled.PlanNotCompilable`'s.
         """
-        blocked = plan_blocked(self)
-        compiled = self._ensure_plan() if blocked is None else None
+        reason = self.fallback_reason()
         tel = self._telemetry
-        if compiled is None:
-            reason = blocked[0] if blocked else self._plan_uncompilable
+        if reason is not None:
             if tel.enabled:
                 tel.metrics.counter("exec.plan_fallbacks", reason=reason).inc()
                 # The instant fires only when a working plan existed
@@ -157,6 +155,7 @@ class DistributedExecutor:
                     tel.tracer.instant("exec.plan-fallback", reason=reason)
             self.replay_traffic(batch)
             return f"fallback:{reason}"
+        compiled = self._compiled_plan
         if not tel.enabled:
             compiled.run(batch)
             return "plan"
@@ -170,6 +169,19 @@ class DistributedExecutor:
             tel.metrics.counter("exec.plan_runs").inc()
             compiled.run(batch)
         return "plan"
+
+    def fallback_reason(self) -> Optional[str]:
+        """The ``<reason>`` :meth:`account_traffic` would return as
+        ``"fallback:<reason>"`` right now, or None when the compiled
+        plan would serve.  Moves no traffic; it may compile the plan
+        for the current topology state, which the next planned call
+        would do anyway."""
+        blocked = plan_blocked(self)
+        if blocked is not None:
+            return blocked[0]
+        if self._ensure_plan() is None:
+            return self._plan_uncompilable
+        return None
 
     def _ensure_plan(self) -> Optional[CompiledPlan]:
         """Memoized compilation, keyed on the topology epoch.  A node

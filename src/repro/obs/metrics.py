@@ -12,6 +12,10 @@ already keeps exact counters — e.g. :class:`repro.wsn.Network`'s
 traffic stats — publish them with zero hot-path overhead: the callback
 registered via :meth:`MetricsRegistry.register_collector` runs at
 :meth:`collect` time (export, report, reconciliation), not per packet.
+A collector that owns many label sets of one counter (per-node and
+per-link traffic) hands them over as one :class:`CounterFamily`
+update: the registry holds the family as arrays, and every reader
+still sees one ordinary counter series per member.
 
 The module-level null backend (:class:`NullMetrics` and its inert
 instruments) is what disabled instrumentation talks to; every method
@@ -22,6 +26,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from typing import Callable, Dict, List, Tuple
+
+import numpy as np
 
 from repro.obs.trace import canonical_value
 
@@ -122,6 +128,88 @@ class Histogram:
         return float("inf")
 
 
+class CounterFamily:
+    """One labeled counter family held as arrays.
+
+    Member ``i`` is named by the label values ``keys[i]`` (in
+    :attr:`labels` order) and counts ``values[i]``.  Members are only
+    appended, so a member keeps its slot for the family's life, and an
+    update naming the same members in the same order is one array add.
+    Get one with :meth:`MetricsRegistry.counter_family`.
+    """
+
+    def __init__(self, labels: Tuple[str, ...]) -> None:
+        self.labels = labels
+        self.keys: List[tuple] = []
+        self.values = np.zeros(0, dtype=np.float64)
+        self._slots: Dict[tuple, int] = {}
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def inc(self, keys: List[tuple], amounts) -> None:
+        """Add ``amounts[i]`` to member ``keys[i]`` (created at 0).
+        ``keys`` is a list of label-value tuples."""
+        amounts = np.asarray(amounts, dtype=np.float64)
+        if amounts.size and amounts.min() < 0:
+            raise ValueError(
+                f"counters only go up, got {float(amounts.min())}"
+            )
+        self._add(keys, amounts)
+
+    def retract(self, keys: List[tuple], amounts) -> None:
+        """Take back ``amounts`` a collector pushed earlier (its reset
+        path) — :meth:`inc` with the sign flipped and unchecked."""
+        self._add(keys, -np.asarray(amounts, dtype=np.float64))
+
+    def _add(self, keys: List[tuple], amounts: np.ndarray) -> None:
+        n = len(self.keys)
+        if keys[:n] == self.keys:
+            new = keys[n:]
+            fresh = dict(zip(new, range(n, n + len(new))))
+            if len(fresh) == len(new) and (
+                not n or self._slots.keys().isdisjoint(fresh.keys())
+            ):
+                if new:
+                    self.keys.extend(new)
+                    self._slots.update(fresh)
+                    values = np.zeros(n + len(new), dtype=np.float64)
+                    values[:n] = self.values
+                    self.values = values
+                self.values += amounts
+                return
+        slots = [self._slot(key) for key in keys]
+        np.add.at(self.values, slots, amounts)
+
+    def _slot(self, key: tuple) -> int:
+        slot = self._slots.get(key)
+        if slot is None:
+            slot = self._slots[key] = len(self.keys)
+            self.keys.append(key)
+            self.values = np.append(self.values, 0.0)
+        return slot
+
+    def value_of(self, labels: Dict[str, object]) -> float:
+        """The member named by a label dict (0.0 when absent)."""
+        if sorted(labels) != sorted(self.labels):
+            return 0.0
+        key = tuple(canonical_value(labels[name]) for name in self.labels)
+        slot = self._slots.get(key)
+        return 0.0 if slot is None else float(self.values[slot])
+
+    def label_key(self, key: tuple) -> LabelKey:
+        """The registry's canonical label key of member ``key`` (label
+        values are canonicalized here, on the read side)."""
+        return tuple(sorted(zip(self.labels, map(canonical_value, key))))
+
+
+def _family_name_error(name: str) -> TypeError:
+    return TypeError(
+        f"series {name!r} is a counter family; update it through "
+        "counter_family()"
+    )
+
+
 def _canonical_items(items) -> LabelKey:
     """Sorted ``(label, canonical value)`` pairs of ``(label, value)``
     pairs — the label half of a series key."""
@@ -136,12 +224,17 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._series: Dict[SeriesKey, object] = {}
+        #: name -> columnar counter family; a name lives either here
+        #: or in :attr:`_series`, never in both.
+        self._families: Dict[str, CounterFamily] = {}
         self._collectors: List[Callable[["MetricsRegistry"], None]] = []
 
     def __len__(self) -> int:
-        return len(self._series)
+        return len(self._series) + sum(map(len, self._families.values()))
 
     def _get(self, factory, name: str, labels: Dict[str, object]):
+        if self._families and name in self._families:
+            raise _family_name_error(name)
         key = (str(name), _canonical_items(labels.items()))
         instrument = self._series.get(key)
         if instrument is None:
@@ -179,6 +272,8 @@ class MetricsRegistry:
         ``label_items`` a tuple of ``(label, value)`` pairs."""
         series = self._series
         name = str(name)
+        if self._families and name in self._families:
+            raise _family_name_error(name)
         for label_items, amount in increments:
             key = (name, _canonical_items(label_items))
             instrument = series.get(key)
@@ -187,6 +282,30 @@ class MetricsRegistry:
             elif not isinstance(instrument, Counter):
                 raise TypeError(f"series {name!r} is a {instrument.kind}")
             instrument.inc(amount)
+
+    def counter_family(
+        self, name: str, labels: Tuple[str, ...]
+    ) -> CounterFamily:
+        """Get-or-create the columnar counter family ``name`` whose
+        members carry the label names ``labels`` — the one-call update
+        path for collectors that own many label sets of one counter.
+        A name is either a family or plain series: the other kind of
+        access raises :class:`TypeError`."""
+        name = str(name)
+        family = self._families.get(name)
+        if family is None:
+            for key, instrument in self._series.items():
+                if key[0] == name:
+                    raise TypeError(
+                        f"series {name!r} is a plain {instrument.kind}"
+                    )
+            family = self._families[name] = CounterFamily(tuple(labels))
+        elif family.labels != tuple(labels):
+            raise ValueError(
+                f"family {name!r} has labels {family.labels}, "
+                f"got {tuple(labels)}"
+            )
+        return family
 
     # -- pull model ---------------------------------------------------------
     def register_collector(
@@ -204,14 +323,25 @@ class MetricsRegistry:
     # -- read side ----------------------------------------------------------
     def series(self) -> List[Tuple[str, Dict[str, object], object]]:
         """All series as ``(name, labels, instrument)``, sorted by
-        name then label key — the canonical export order."""
+        name then label key — the canonical export order.  A family's
+        members read as counters holding their current value."""
+        entries = list(self._series.items())
+        for name, family in self._families.items():
+            for key, value in zip(family.keys, family.values.tolist()):
+                counter = Counter()
+                counter.value = value
+                entries.append(((name, family.label_key(key)), counter))
+        entries.sort(key=lambda entry: entry[0])
         return [
-            (name, dict(label_key), self._series[(name, label_key)])
-            for name, label_key in sorted(self._series)
+            (name, dict(label_key), instrument)
+            for (name, label_key), instrument in entries
         ]
 
     def value(self, name: str, **labels) -> float:
         """Current value of a counter/gauge series (0.0 when absent)."""
+        family = self._families.get(str(name))
+        if family is not None:
+            return family.value_of(labels)
         key = (str(name), _canonical_items(labels.items()))
         instrument = self._series.get(key)
         if instrument is None:
@@ -231,6 +361,7 @@ class MetricsRegistry:
     def clear(self) -> None:
         """Drop every series (collectors stay registered)."""
         self._series = {}
+        self._families = {}
 
     # -- mergeable snapshots ------------------------------------------------
     def snapshot(self) -> List[List]:

@@ -12,6 +12,13 @@ fixed-capacity ring buffer — old samples are overwritten, never
 accumulated, so a recorder attached to a weeks-long run costs the
 same memory as one attached to a test.
 
+The network's per-node and per-link traffic counters arrive as
+columnar :class:`~repro.obs.metrics.CounterFamily` arrays; the recorder
+keeps each family's tick as one :class:`FamilyBlock` and computes its
+deltas and rates with numpy, while :attr:`TimelineSample.points`, the
+JSONL and the digest read exactly as if every member were a plain
+counter series.
+
 Time comes from a pluggable clock (a :class:`repro.sim.Simulator`'s
 ``lambda: sim.now``, serve's clock shim, or the default sample-index
 clock), never from the wall — so the serialized timeline of a seeded
@@ -43,7 +50,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
 from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.obs.trace import canonical_value
 
@@ -129,17 +139,83 @@ def _json_float(value: Optional[float]):
     return float(value)
 
 
-class TimelineSample:
-    """One tick of the flight recorder: time plus every series'
-    :class:`SeriesPoint`, keyed by :func:`series_key`."""
+class _FamilyLayout:
+    """A counter family's member set as the recorder reads it: the
+    family's keys (to notice a change), the permutation into canonical
+    order, and each member's series key and label dict in that order."""
 
-    __slots__ = ("index", "t", "points")
+    __slots__ = ("members", "order", "keys", "labels")
+
+    def __init__(self, name: str, family) -> None:
+        self.members = list(family.keys)
+        label_keys = [family.label_key(key) for key in self.members]
+        order = sorted(range(len(label_keys)), key=label_keys.__getitem__)
+        self.order = np.array(order, dtype=np.intp)
+        self.labels = [dict(label_keys[i]) for i in order]
+        self.keys = [series_key(name, labels) for labels in self.labels]
+
+
+class FamilyBlock:
+    """One counter family at one tick: value, delta and rate arrays
+    aligned to a layout's canonical member order."""
+
+    __slots__ = ("name", "layout", "value", "delta", "rate")
+
+    def __init__(self, name: str, layout: _FamilyLayout, value: np.ndarray,
+                 delta: np.ndarray, rate: np.ndarray) -> None:
+        self.name = name
+        self.layout = layout
+        self.value = value
+        self.delta = delta
+        self.rate = rate
+
+    def points(self) -> Dict[str, SeriesPoint]:
+        layout = self.layout
+        return {
+            key: SeriesPoint(self.name, labels, "counter", v, d, r)
+            for key, labels, v, d, r in zip(
+                layout.keys, layout.labels, self.value.tolist(),
+                self.delta.tolist(), self.rate.tolist(),
+            )
+        }
+
+
+class TimelineSample:
+    """One tick of the flight recorder: time plus every series' point.
+
+    Plain series are held as :class:`SeriesPoint` objects, each counter
+    family as one :class:`FamilyBlock`.  :attr:`points` presents both as
+    one ``series_key -> SeriesPoint`` dict in canonical order, built on
+    first read."""
+
+    __slots__ = ("index", "t", "_plain", "_blocks", "_points")
 
     def __init__(self, index: int, t: float,
-                 points: Dict[str, SeriesPoint]) -> None:
+                 points: Dict[str, SeriesPoint],
+                 blocks: Tuple[FamilyBlock, ...] = ()) -> None:
         self.index = index
         self.t = t
-        self.points = points
+        self._plain = points
+        self._blocks = {block.name: block for block in blocks}
+        self._points = None if blocks else points
+
+    @property
+    def points(self) -> Dict[str, SeriesPoint]:
+        if self._points is None:
+            # Canonical order sorts by name first, and a family owns its
+            # whole name: splice each block in at its name's position.
+            items = list(self._plain.items())
+            names = [point.name for __, point in items]
+            points: Dict[str, SeriesPoint] = {}
+            i = 0
+            for name in sorted(self._blocks):
+                j = bisect_left(names, name, i)
+                points.update(items[i:j])
+                points.update(self._blocks[name].points())
+                i = j
+            points.update(items[i:])
+            self._points = points
+        return self._points
 
     def get(self, key: str) -> Optional[SeriesPoint]:
         return self.points.get(key)
@@ -221,6 +297,10 @@ class FlightRecorder:
         self._next_due: Optional[float] = None
         #: previous tick's raw values, keyed by series_key.
         self._prev: Dict[str, object] = {}
+        #: counter family name -> (layout, canonical values) of its last
+        #: tick; folded into :attr:`_prev` when the member set changes.
+        self._prev_families: Dict[str, Tuple[_FamilyLayout, np.ndarray]] = {}
+        self._layouts: Dict[str, _FamilyLayout] = {}
         #: registry series key -> (flat key, name, labels dict); the
         #: flat-key strings are hot-path-expensive to rebuild per tick.
         self._key_cache: Dict = {}
@@ -310,7 +390,8 @@ class FlightRecorder:
         over the window telescopes to ``value_now - (first.value -
         first.delta)``, where ``first`` is the window's oldest retained
         sample (``first.value - first.delta`` is the value just before
-        the window's first tick).
+        the window's first tick).  A counter family takes the same
+        arithmetic as one numpy expression per array.
         """
         metrics = self.telemetry.metrics
         metrics.collect()
@@ -329,8 +410,8 @@ class FlightRecorder:
             # Degenerate window (t=0 first sample, or a clock that has
             # not advanced): fall back to the cadence to stay finite.
             elapsed = self.interval
-        first = recent[0].points if recent else None
-        first_get = first.get if first is not None else None
+        first = recent[0] if recent else None
+        first_get = first._plain.get if first is not None else None
         prev_get = prev_map.get
         for (key, name, labels), instrument in self._series_entries(metrics):
             kind = instrument.kind
@@ -364,7 +445,7 @@ class FlightRecorder:
                     point.rate = delta_n / elapsed
                 window_counts = delta_counts
                 for old in recent:
-                    old_point = old.points.get(key)
+                    old_point = old._plain.get(key)
                     if (old_point is not None
                             and old_point.window_counts is not None
                             and old_point.buckets == point.buckets):
@@ -396,11 +477,54 @@ class FlightRecorder:
                 points[key] = SeriesPoint(
                     name, labels, kind, value, delta, rate,
                 )
-        sample = TimelineSample(self._n_samples, t, points)
+        families = getattr(metrics, "_families", None) or {}
+        blocks = tuple(
+            self._family_block(name, families[name], first, elapsed)
+            for name in sorted(families)
+        )
+        sample = TimelineSample(self._n_samples, t, points, blocks)
         self._append(sample)
         for observer in self._observers:
             observer.observe(sample, self)
         return sample
+
+    def _family_block(self, name: str, family, first, elapsed: float):
+        """One counter family's tick (see :meth:`sample`).  While its
+        member set holds, the previous tick and the window's first tick
+        share this tick's layout and everything is elementwise; a
+        changed member set aligns the members by series key."""
+        layout = self._layouts.get(name)
+        if layout is None or layout.members != family.keys:
+            layout = self._layouts[name] = _FamilyLayout(name, family)
+        value = family.values[layout.order]
+        prev = self._prev_families.get(name)
+        if prev is not None and prev[0] is layout:
+            delta = value - prev[1]
+        else:
+            if prev is not None:
+                self._prev.update(zip(prev[0].keys, prev[1].tolist()))
+            before = [self._prev.get(key) for key in layout.keys]
+            # A member's first tick has delta == value, as for a plain
+            # counter.
+            delta = value - np.array(
+                [0.0 if b is None else b for b in before], dtype=np.float64
+            )
+        self._prev_families[name] = (layout, value)
+        old = first._blocks.get(name) if first is not None else None
+        if old is None:
+            rate = delta / elapsed
+        elif old.layout is layout:
+            rate = (value - (old.value - old.delta)) / elapsed
+        else:
+            rate = delta / elapsed
+            position = {key: i for i, key in enumerate(old.layout.keys)}
+            at = np.array(
+                [position.get(key, -1) for key in layout.keys], dtype=np.intp
+            )
+            seen = at >= 0
+            base = (old.value - old.delta)[at[seen]]
+            rate[seen] = (value[seen] - base) / elapsed
+        return FamilyBlock(name, layout, value, delta, rate)
 
     def _append(self, sample: TimelineSample) -> None:
         if self._count == self.capacity and self._ring[self._head] is not None:
@@ -439,6 +563,7 @@ class FlightRecorder:
         self.dropped = 0
         self._next_due = None
         self._prev = {}
+        self._prev_families = {}
 
     # -- export --------------------------------------------------------------
     def to_jsonl(self) -> str:

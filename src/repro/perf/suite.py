@@ -12,7 +12,7 @@ Workloads:
   aggregated bulk sends vs. one ``unicast`` per transfer per element;
 - ``forward_plan`` — the compiled-plan fast path vs. the event-driven
   oracle at the per-request operating point (small batch, where the
-  route replay dominates); byte-identical logits and exactly equal
+  per-transfer replay dominates); byte-identical logits and exactly equal
   traffic counters are asserted untimed before the clocks start, so
   the committed speedup certifies an equivalent computation;
 - ``forward_masked_dead20`` — failure masking with 20 % dead nodes,
@@ -205,16 +205,30 @@ def _full_stats(network: Network) -> Dict:
     }
 
 
+#: Forwards per timed ``forward_plan`` run: enough that the planned
+#: side (~0.2-0.3 ms a forward) fills ~10 ms, above timer and
+#: scheduler noise.
+_FORWARDS_PER_RUN = 50
+
+
 def bench_forward_plan(protocol: BenchProtocol, seed: int, quick: bool) -> Dict:
     """Compiled-plan forward vs. the event-driven oracle.
 
     The workload is pinned to the per-request operating point (small
     batch — how ``repro serve`` runs inference), where the event path's
-    cost is dominated by per-transfer route lookups, which are
+    cost is dominated by its per-transfer-group replay — one
+    ``unicast_bulk`` per group, each walking its memoized route hop by
+    hop through the accounting choke point — which is
     batch-independent; that is the cost compilation amortizes into one
     bulk accounting update.  At large batches the layer GEMMs dominate
     both paths (the arithmetic is the exact same layer sequence) and
     they converge.
+
+    A planned forward takes a fraction of a millisecond, so each timed
+    run is :data:`_FORWARDS_PER_RUN` forwards back to back (~10 ms or
+    more on either side), and the two sides' runs alternate; ``runs_s``
+    and ``best_s`` are reported per forward, the unit every other entry
+    and the ``--against`` gate use.
 
     Before anything is timed, the two paths are asserted differentially
     equivalent: byte-identical logits and exactly equal traffic
@@ -254,19 +268,24 @@ def bench_forward_plan(protocol: BenchProtocol, seed: int, quick: bool) -> Dict:
     counters.set("values_per_inference", hops.total_values())
     counters.set("batch", batch)
 
-    timing = measure(
-        lambda __: executor.forward(x),
-        protocol, setup=network.reset_stats,
-    )
-    reference = measure(
-        lambda __: executor.forward(x, plan=None),
-        protocol, setup=network.reset_stats,
-    )
+    # Interleaved (plan, oracle) runs, so host speed drift hits both
+    # sides alike.
+    runs = {"auto": [], None: []}
+    for i in range(protocol.warmup + protocol.repeat):
+        for plan, side in runs.items():
+            network.reset_stats()
+            start = time.perf_counter()
+            for __ in range(_FORWARDS_PER_RUN):
+                executor.forward(x, plan=plan)
+            elapsed = time.perf_counter() - start
+            if i >= protocol.warmup:
+                side.append(elapsed / _FORWARDS_PER_RUN)
+    timing, reference = TimingStats(runs["auto"]), TimingStats(runs[None])
     network.reset_stats()
     return _entry(
         "forward_plan",
         {"batch": batch, "input_hw": list(input_hw), "node_grid": [4, 4],
-         "seed": seed},
+         "forwards_per_run": _FORWARDS_PER_RUN, "seed": seed},
         input_digest(x, extra=f"forward_plan seed={seed}"),
         timing, reference, counters.to_dict(),
     )
@@ -450,11 +469,14 @@ def _overhead_entry(
 
     Both executors get their backend injected explicitly, so the result
     is independent of any session installed around the suite (e.g.
-    ``repro bench --trace``).  A ratio of two ~10 ms workloads needs
-    tighter statistics than the default 3-run best-of: the runs are
-    interleaved (on, off) pairs so clock/thermal drift hits both sides
-    equally, and ``counters.overhead_pct`` comes from the medians.
-    Resetting the stats and clearing the tracer is untimed.
+    ``repro bench --trace``).  A ratio of two ~1 ms workloads (the
+    event-driven forward resolves its routes from the topology's memo)
+    needs tighter statistics than the default 3-run best-of: the runs
+    are interleaved (on, off) pairs so clock/thermal drift hits both
+    sides equally, and ``counters.overhead_pct`` comes from the
+    medians.  Resetting the stats and clearing the telemetry is
+    untimed; the cleared registry makes every tick re-create all its
+    series, the recorder's worst case.
     """
     from repro.obs.runtime import NULL
 

@@ -42,7 +42,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.core.assignment import grid_correspondence_assignment
-from repro.core.compiled.compiler import plan_blocked
 from repro.core.executor import DistributedExecutor
 from repro.core.training import MicroDeepTrainer
 from repro.core.unitgraph import UnitGraph
@@ -156,9 +155,9 @@ class Tenant:
 
     def fault_state(self) -> Optional[str]:
         """Why this tenant currently falls back to the event-driven
-        oracle (``None`` in the compiled steady state)."""
-        blocked = plan_blocked(self.executor)
-        return None if blocked is None else blocked[0]
+        oracle (``None`` in the compiled steady state): the reason
+        :meth:`infer` would report, an unroutable transfer included."""
+        return self.executor.fallback_reason()
 
     def direct_forward(self, x: np.ndarray) -> np.ndarray:
         """Forward ``x`` in chunks of exactly :data:`SERVE_BATCH` rows

@@ -30,6 +30,23 @@ from repro.wsn.routing import shortest_path_route
 from repro.wsn.topology import Topology
 
 
+#: Label names of the per-node and per-link traffic families, in the
+#: order of their member keys.
+_FAMILY_LABELS = {
+    "net.rx_values": ("node",),
+    "net.tx_values": ("node",),
+    "net.link_values": ("src", "dst"),
+}
+
+
+def _nonzero(keys: list, amounts: np.ndarray) -> Tuple[list, np.ndarray]:
+    """The entries of a family update whose amount is nonzero."""
+    if np.count_nonzero(amounts) == len(keys):
+        return keys, amounts
+    keep = amounts != 0
+    return [k for k, kept in zip(keys, keep.tolist()) if kept], amounts[keep]
+
+
 @dataclass
 class Message:
     """A unicast application message."""
@@ -125,21 +142,29 @@ class Network:
         )
         #: Metric values this network has pushed into the registry so
         #: far; the collector pushes deltas, making repeated collects
-        #: idempotent and :meth:`reset_stats` retractable.
+        #: idempotent and :meth:`reset_stats` retractable.  Scalars and
+        #: drop causes by series key; the per-node and per-link
+        #: families as ``name -> (keys, values)`` arrays.
         self._pushed: Dict[tuple, float] = {}
+        self._pushed_families: Dict[str, Tuple[list, np.ndarray]] = {}
         if telemetry.enabled:
             telemetry.metrics.register_collector(self._sync_metrics)
 
     def reset_stats(self) -> None:
         tel = self._telemetry
-        if tel.enabled and self._pushed:
+        if tel.enabled:
             # Retract this network's contribution so the registry keeps
             # mirroring the (now reset) stats exactly.
             for key, value in self._pushed.items():
                 name = key[0]
                 labels = dict(key[1:])
                 tel.metrics.counter(name, **labels).value -= value
+            for name, (keys, values) in self._pushed_families.items():
+                tel.metrics.counter_family(
+                    name, _FAMILY_LABELS[name]
+                ).retract(*_nonzero(keys, values))
         self._pushed = {}
+        self._pushed_families = {}
         if self._link_values is not None:
             self._link_values = {}
         self.stats = TrafficStats()
@@ -371,17 +396,44 @@ class Network:
         push("net.corrupted", [((), stats.corrupted)])
         push("net.duplicated", [((), stats.duplicated)])
         push("net.hops", [((), stats.total_hops)])
-        for name, label, values in (
-            ("net.dropped_causes", "cause", stats.dropped_causes),
-            ("net.rx_values", "node", stats.per_node_rx_values),
-            ("net.tx_values", "node", stats.per_node_tx_values),
-        ):
-            push(name, [(((label, k),), v) for k, v in values.items()])
+        push("net.dropped_causes", [
+            ((("cause", k),), v) for k, v in stats.dropped_causes.items()
+        ])
+        self._push_family(
+            registry, "net.rx_values",
+            [(k,) for k in stats.per_node_rx_values],
+            stats.per_node_rx_values.values(),
+        )
+        self._push_family(
+            registry, "net.tx_values",
+            [(k,) for k in stats.per_node_tx_values],
+            stats.per_node_tx_values.values(),
+        )
         if self._link_values:
-            push("net.link_values", [
-                ((("dst", dst), ("src", src)), value)
-                for (src, dst), value in self._link_values.items()
-            ])
+            self._push_family(
+                registry, "net.link_values", list(self._link_values),
+                self._link_values.values(),
+            )
+
+    def _push_family(self, registry, name: str, keys: list, values) -> None:
+        """Push one per-node or per-link table as a single family update
+        of its deltas since the last collect.  The tables only grow
+        between resets, so the keys pushed before are a prefix of
+        ``keys``.  A member is created on its first nonzero delta, as
+        a per-series push would."""
+        values = np.fromiter(values, dtype=np.float64, count=len(keys))
+        pushed = self._pushed_families.get(name)
+        if pushed is None:
+            delta = values
+        else:
+            delta = values.copy()
+            delta[:len(pushed[1])] -= pushed[1]
+        if not np.count_nonzero(delta):
+            return
+        self._pushed_families[name] = (keys, values)
+        registry.counter_family(name, _FAMILY_LABELS[name]).inc(
+            *_nonzero(keys, delta)
+        )
 
     def telemetry_drift(self) -> List[str]:
         """Reconciliation assertion: re-derive every tally from its

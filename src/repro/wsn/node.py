@@ -15,12 +15,13 @@ class SensorNode:
     accounts traffic per node.  The optional capacitor turns the node
     into a harvested zero-energy device (experiment E8).
 
-    ``alive`` and ``position`` are properties: mutating either bumps
-    the owning :class:`~repro.wsn.topology.Topology`'s epoch counter so
-    its cached structure-of-arrays views, spatial index, and
-    connectivity graph are invalidated exactly when the geometry
-    changes — and never on the hot traffic-counter updates.  A node
-    belongs to the topology that bound it last.
+    ``alive`` and ``position`` are properties that notify the owning
+    :class:`~repro.wsn.topology.Topology`: a move writes the node's row
+    of its positions array and bumps its geometry counter (the spatial
+    index and adjacency rebuild), an ``alive`` flip writes one entry of
+    its alive mask and bumps its liveness counter (nothing rebuilds).
+    The hot traffic-counter updates notify nothing.  A node belongs to
+    the topology that bound it last.
     """
 
     def __init__(
@@ -45,7 +46,7 @@ class SensorNode:
         self.tx_values = tx_values
         self.rx_values = rx_values
 
-    # -- geometry-mutating fields (epoch-invalidating) ----------------------
+    # -- topology-notifying fields ------------------------------------------
     @property
     def position(self) -> Tuple[float, float]:
         return self._position
@@ -59,7 +60,7 @@ class SensorNode:
             )
         self._position = (x, y)
         if self._topology is not None:
-            self._topology._invalidate()
+            self._topology._moved(self)
 
     @property
     def alive(self) -> bool:
@@ -69,7 +70,7 @@ class SensorNode:
     def alive(self, value: bool) -> None:
         self._alive = bool(value)
         if self._topology is not None:
-            self._topology._invalidate()
+            self._topology._flipped(self)
 
     # -- dataclass-compatible surface ---------------------------------------
     def __repr__(self) -> str:

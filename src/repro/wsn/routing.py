@@ -1,14 +1,20 @@
-"""Routing over the topology graph.
+"""Routing over the topology.
 
-Routing resolves against :meth:`Topology.cached_graph` — the
-epoch-memoized connectivity graph — so replay/compile loops that issue
-thousands of routes per topology state stop paying a fresh graph
-reconstruction per call.  Any alive/position mutation bumps the
-topology epoch and the next route sees a rebuilt graph automatically.
+:func:`shortest_path_route` is the network's default router.  It
+resolves through :meth:`Topology.route`: a bidirectional BFS over the
+geometry-keyed CSR adjacency that skips dead nodes, behind one route
+memo per (geometry, liveness) state.  An alive flip therefore rebuilds
+nothing — it only starts a fresh memo — and replay/compile loops that
+issue thousands of routes per topology state pay one BFS per distinct
+pair.  The BFS copies networkx's bidirectional expansion order, so
+every route equals ``nx.shortest_path`` on the alive connectivity
+graph.
 
-The pre-optimization implementation (fresh ``topology.graph()`` per
-call) is kept as :func:`shortest_path_route_reference`; the parity
-suite asserts both return identical routes.
+The pre-optimization implementation (a fresh brute-force graph and
+``nx.shortest_path`` per call) is kept as
+:func:`shortest_path_route_reference`; the parity suites assert both
+return identical routes.  :func:`sink_tree` still walks the shared
+:meth:`Topology.cached_graph`.
 """
 
 from __future__ import annotations
@@ -35,16 +41,10 @@ def shortest_path_route(
       ``src == dst`` case on a dead node.  :class:`~repro.wsn.network.Network`
       attributes ``None`` routes to the ``"unroutable"`` drop cause;
     - endpoints alive but in different components -> ``None``.
+
+    Each call returns a new list (callers may edit it).
     """
-    g = topology.cached_graph()
-    if src not in g or dst not in g:
-        return None
-    if src == dst:
-        return [src]
-    try:
-        return nx.shortest_path(g, src, dst)
-    except nx.NetworkXNoPath:
-        return None
+    return topology.route(src, dst)
 
 
 def shortest_path_route_reference(

@@ -1,20 +1,31 @@
-"""Topologies: node placement and connectivity graphs.
+"""Topologies: node placement, connectivity, and routing state.
 
-City-scale rework: a :class:`Topology` keeps cached structure-of-arrays
-views of its node state (``positions: (n, 2) float64``, ``alive: (n,)
-bool``) guarded by an **epoch counter** that
-:class:`~repro.wsn.node.SensorNode` bumps whenever a node's ``alive``
-flag or position mutates.  Neighborhood queries and connectivity-graph
-construction run on a grid-hash spatial index
-(:mod:`repro.wsn.spatial`) with cell size ``comm_range``, so a query
-inspects the 3x3 cell neighborhood instead of all n nodes and the
-graph is assembled from CSR-style sparse adjacency built in one
-vectorized cell-pair pass instead of the O(n^2) double loop.
+City-scale rework: a :class:`Topology` keeps its node state as
+structure-of-arrays (``positions: (n, 2) float64``, ``alive: (n,)
+bool``) behind **two mutation counters**.  Deployed zero-energy
+devices drop out and come back far more often than they move, so the
+two kinds of mutation key different caches:
+
+- a position change (:class:`~repro.wsn.node.SensorNode` ``position``
+  setter) writes one row of the positions array and bumps
+  :attr:`Topology.geometry_epoch`.  The grid-hash spatial index
+  (:mod:`repro.wsn.spatial`, cell size ``comm_range``) and the CSR
+  sparse adjacency cover **all** nodes and key on geometry only;
+- an ``alive`` flip writes one entry of the alive mask and bumps
+  :attr:`Topology.liveness_epoch`.  Nothing is rebuilt: neighbor
+  queries, graph assembly and routing apply the mask to the
+  geometry-keyed structures.
+
+Routing (:meth:`Topology.route`) is a bidirectional BFS over the CSR
+rows that skips dead nodes, behind one route memo per (geometry,
+liveness) state.  :attr:`Topology.epoch` bumps on both kinds of
+mutation, for consumers whose state depends on either (compiled
+plans).
 
 The pre-optimization brute-force implementations are kept verbatim as
 ``*_reference`` parity oracles (the repo's established idiom); the
 property suite asserts the index-backed paths are **byte-equal** to
-them — same element order, bitwise-identical distances.
+them — same element order, bitwise-identical distances, same routes.
 """
 
 from __future__ import annotations
@@ -34,14 +45,14 @@ class Topology:
     Connectivity is geometric: two alive nodes are linked when their
     distance is at most ``comm_range``.
 
-    Cache/epoch contract: :attr:`epoch` increments every time a node's
-    ``alive`` flag or position changes (node mutations notify the
-    owning topology).  Every derived structure — the SoA views, the
-    spatial index, the sparse adjacency, and :meth:`cached_graph` — is
-    memoized keyed on the epoch, so mutations invalidate lazily and
-    un-mutated steady state pays zero rebuild cost.  The node *set* is
-    fixed at construction; do not add or remove entries from
-    :attr:`nodes` directly.
+    Cache contract: owned nodes notify the topology of every mutation.
+    A move bumps :attr:`geometry_epoch`, which keys the spatial index,
+    the sparse adjacency and its BFS rows.  An ``alive`` flip bumps
+    :attr:`liveness_epoch` only.  The routing graph
+    :meth:`cached_graph` and the route memo key on both; :attr:`epoch`
+    bumps on either.  Caches rebuild lazily, so un-mutated steady state
+    pays zero rebuild cost.  The node *set* is fixed at construction;
+    do not add or remove entries from :attr:`nodes` directly.
     """
 
     def __init__(self, nodes: List[SensorNode], comm_range: float) -> None:
@@ -62,24 +73,32 @@ class Topology:
             )
         self.nodes: Dict[int, SensorNode] = {n.node_id: n for n in nodes}
         self.comm_range = comm_range
-        self._epoch = 0
         self._nodes_list: List[SensorNode] = list(self.nodes.values())
         self._index_of: Dict[int, int] = {
             n.node_id: i for i, n in enumerate(self._nodes_list)
         }
-        self._ids = np.fromiter(
-            (n.node_id for n in self._nodes_list), dtype=np.int64,
-            count=len(self._nodes_list),
-        )
-        self._soa_epoch = -1
-        self._positions: Optional[np.ndarray] = None
-        self._alive: Optional[np.ndarray] = None
-        self._index_epoch = -1
+        self._id_list: List[int] = [n.node_id for n in self._nodes_list]
+        self._ids = np.array(self._id_list, dtype=np.int64)
+        # Node state, written in place by the node setters.  The alive
+        # flags are bytes (fast to index in the BFS inner loop), seen as
+        # a bool ndarray through _alive_mask() for vectorized masking.
+        self._positions = np.empty((len(self._id_list), 2), dtype=np.float64)
+        self._alive_flags = bytearray(len(self._id_list))
+        self._geometry = 0
+        self._liveness = 0
+        self._epoch = 0
+        self._load_state()
+        # Geometry-keyed caches.
         self._index: Optional[GridHashIndex] = None
-        self._adjacency_epoch = -1
+        self._index_key = -1
         self._adjacency: Optional[SparseAdjacency] = None
-        self._graph_epoch = -1
+        self._rows: Optional[List[List[int]]] = None
+        self._adjacency_key = -1
+        # (geometry, liveness)-keyed caches.
         self._graph: Optional[nx.Graph] = None
+        self._graph_key: Optional[Tuple[int, int]] = None
+        self._routes: Dict[Tuple[int, int], Optional[Tuple[int, ...]]] = {}
+        self._routes_key: Optional[Tuple[int, int]] = None
         for n in self._nodes_list:
             n._topology = self
 
@@ -95,75 +114,129 @@ class Topology:
         except KeyError:
             raise KeyError(f"no node with id {node_id}") from None
 
-    # -- epoch / cached SoA views -------------------------------------------
+    # -- mutation counters and node state -----------------------------------
     @property
     def epoch(self) -> int:
         """Mutation counter: bumps on any alive/position change."""
         return self._epoch
 
-    def _invalidate(self) -> None:
-        """Called by owned nodes when their geometry state mutates."""
+    @property
+    def geometry_epoch(self) -> int:
+        """Bumps on position changes; keys the index and adjacency."""
+        return self._geometry
+
+    @property
+    def liveness_epoch(self) -> int:
+        """Bumps on ``alive`` flips; with :attr:`geometry_epoch` it keys
+        :meth:`cached_graph` and the route memo."""
+        return self._liveness
+
+    def _load_state(self) -> None:
+        for i, node in enumerate(self._nodes_list):
+            self._positions[i] = node.position
+            self._alive_flags[i] = node.alive
+
+    def _alive_mask(self) -> np.ndarray:
+        """The alive flags as a bool array over the same bytes (live:
+        later flips show through; :meth:`alive_view` is the snapshot)."""
+        return np.frombuffer(self._alive_flags, dtype=bool)
+
+    def _moved(self, node: SensorNode) -> None:
+        """Called by an owned node after its position changed."""
+        self._positions[self._index_of[node.node_id]] = node.position
+        self._geometry += 1
+        self._epoch += 1
+
+    def _flipped(self, node: SensorNode) -> None:
+        """Called by an owned node after its ``alive`` flag was set."""
+        self._alive_flags[self._index_of[node.node_id]] = node.alive
+        self._liveness += 1
         self._epoch += 1
 
     def invalidate_caches(self) -> None:
-        """Force every epoch-keyed cache to rebuild on next use (the
-        benchmarks use this to time cold-path construction)."""
-        self._invalidate()
-
-    def _soa(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Current ``(positions, alive)`` arrays in insertion order."""
-        if self._soa_epoch != self._epoch:
-            n = len(self._nodes_list)
-            positions = np.empty((n, 2), dtype=np.float64)
-            alive = np.empty(n, dtype=bool)
-            for i, node in enumerate(self._nodes_list):
-                positions[i, 0], positions[i, 1] = node.position
-                alive[i] = node.alive
-            positions.setflags(write=False)
-            alive.setflags(write=False)
-            self._positions, self._alive = positions, alive
-            self._soa_epoch = self._epoch
-        return self._positions, self._alive
+        """Re-read every node's state and bump both counters, so every
+        cache rebuilds on next use (the benchmarks use this to time
+        cold-path construction)."""
+        self._load_state()
+        self._geometry += 1
+        self._liveness += 1
+        self._epoch += 1
 
     def positions_view(self) -> np.ndarray:
-        """Read-only ``(n, 2)`` float64 positions, insertion order."""
-        return self._soa()[0]
+        """Read-only ``(n, 2)`` float64 positions, insertion order (a
+        snapshot: later moves do not write into it)."""
+        view = self._positions.copy()
+        view.setflags(write=False)
+        return view
 
     def alive_view(self) -> np.ndarray:
-        """Read-only ``(n,)`` bool alive mask, insertion order."""
-        return self._soa()[1]
+        """Read-only ``(n,)`` bool alive mask, insertion order (a
+        snapshot: later flips do not write into it)."""
+        view = self._alive_mask().copy()
+        view.setflags(write=False)
+        return view
 
     def ids_view(self) -> np.ndarray:
         """``(n,)`` int64 node ids, insertion order (immutable set)."""
         return self._ids
 
     def spatial_index(self) -> GridHashIndex:
-        """Epoch-memoized grid-hash index over the alive nodes."""
-        if self._index_epoch != self._epoch:
-            positions, alive = self._soa()
-            self._index = GridHashIndex(positions, alive, self.comm_range)
-            self._index_epoch = self._epoch
+        """Geometry-memoized grid-hash index over all nodes (readers
+        apply the alive mask to its results)."""
+        if self._index_key != self._geometry:
+            everyone = np.ones(len(self._id_list), dtype=bool)
+            self._index = GridHashIndex(
+                self._positions, everyone, self.comm_range
+            )
+            self._index_key = self._geometry
         return self._index
 
     def sparse_adjacency(self) -> SparseAdjacency:
-        """Epoch-memoized CSR connectivity (one cell-pair pass)."""
-        if self._adjacency_epoch != self._epoch:
-            positions, alive = self._soa()
+        """Geometry-memoized CSR connectivity over all nodes (one
+        cell-pair pass); dead nodes keep their rows — readers apply the
+        alive mask."""
+        if self._adjacency_key != self._geometry:
+            everyone = np.ones(len(self._id_list), dtype=bool)
             self._adjacency = build_adjacency(
-                positions, alive, self.comm_range, index=self.spatial_index()
+                self._positions, everyone, self.comm_range,
+                index=self.spatial_index(),
             )
-            self._adjacency_epoch = self._epoch
+            self._rows = None
+            self._adjacency_key = self._geometry
         return self._adjacency
+
+    def _csr_rows(self) -> List[List[int]]:
+        """The sparse adjacency as one Python list of neighbor indices
+        per node (ascending), built once per geometry for the BFS."""
+        adjacency = self.sparse_adjacency()
+        if self._rows is None:
+            indptr = adjacency.indptr.tolist()
+            indices = adjacency.indices.tolist()
+            self._rows = [
+                indices[indptr[i]:indptr[i + 1]]
+                for i in range(len(indptr) - 1)
+            ]
+        return self._rows
 
     # -- queries ------------------------------------------------------------
     def alive_nodes(self) -> List[SensorNode]:
-        alive = self._soa()[1]
         nodes = self._nodes_list
-        return [nodes[i] for i in np.flatnonzero(alive)]
+        return [nodes[i] for i in np.flatnonzero(self._alive_mask())]
 
     def alive_nodes_reference(self) -> List[SensorNode]:
         """Brute-force oracle for :meth:`alive_nodes`."""
         return [n for n in self.nodes.values() if n.alive]
+
+    def _alive_in_range(self, node_id: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Indices (ascending) and distances of the alive nodes within
+        range of ``node_id``: an index query with the mask applied."""
+        idx, dist = self.spatial_index().query(
+            self.node(node_id).position,
+            radius=self.comm_range,
+            exclude=self._index_of[node_id],
+        )
+        keep = self._alive_mask()[idx]
+        return idx[keep], dist[keep]
 
     def neighbors(self, node_id: int) -> List[SensorNode]:
         """Alive nodes within communication range of ``node_id``.
@@ -172,12 +245,7 @@ class Topology:
         grid cell.  The result is byte-equal to
         :meth:`neighbors_reference` (same nodes, same order).
         """
-        center = self.node(node_id)
-        idx, __ = self.spatial_index().query(
-            center.position,
-            radius=self.comm_range,
-            exclude=self._index_of[node_id],
-        )
+        idx, __ = self._alive_in_range(node_id)
         nodes = self._nodes_list
         return [nodes[i] for i in idx]
 
@@ -186,12 +254,7 @@ class Topology:
     ) -> List[Tuple[SensorNode, float]]:
         """Like :meth:`neighbors`, with the link distance attached —
         bitwise identical to ``center.distance_to(neighbor)``."""
-        center = self.node(node_id)
-        idx, dist = self.spatial_index().query(
-            center.position,
-            radius=self.comm_range,
-            exclude=self._index_of[node_id],
-        )
+        idx, dist = self._alive_in_range(node_id)
         nodes = self._nodes_list
         return [
             (nodes[i], d) for i, d in zip(idx.tolist(), dist.tolist())
@@ -208,6 +271,90 @@ class Topology:
             and center.distance_to(n) <= self.comm_range
         ]
 
+    # -- routing --------------------------------------------------------------
+    def route(self, src: int, dst: int) -> Optional[List[int]]:
+        """Memoized hop-minimizing route over the alive nodes (the
+        contract of :func:`repro.wsn.routing.shortest_path_route`).
+
+        One memo per (geometry, liveness) state: any move or flip
+        starts a fresh one.  Each call returns a new list, so a caller
+        that edits its route cannot corrupt the memo.
+        """
+        state = (self._geometry, self._liveness)
+        if self._routes_key != state:
+            self._routes = {}
+            self._routes_key = state
+        routes = self._routes
+        key = (src, dst)
+        if key in routes:
+            route = routes[key]
+        else:
+            route = routes[key] = self._bfs_route(src, dst)
+        return None if route is None else list(route)
+
+    def _bfs_route(self, src: int, dst: int) -> Optional[Tuple[int, ...]]:
+        """Bidirectional BFS over the CSR rows, dead nodes skipped.
+
+        A copy of networkx's ``_bidirectional_pred_succ`` expansion: the
+        smaller fringe grows first (the forward one on ties), each node
+        scanning its neighbors in CSR row order.  ``_build_graph``
+        inserts edges in lexicographic index order, so that is also the
+        adjacency order of :meth:`cached_graph`, and the route equals
+        ``nx.shortest_path`` on it.
+        """
+        s = self._index_of.get(src)
+        t = self._index_of.get(dst)
+        alive = self._alive_flags
+        if s is None or t is None or not alive[s] or not alive[t]:
+            return None
+        if s == t:
+            return (src,)
+        rows = self._csr_rows()
+        pred: Dict[int, Optional[int]] = {s: None}
+        succ: Dict[int, Optional[int]] = {t: None}
+
+        def meet() -> Optional[int]:
+            forward, reverse = [s], [t]
+            while forward and reverse:
+                if len(forward) <= len(reverse):
+                    level, forward = forward, []
+                    for v in level:
+                        for w in rows[v]:
+                            if not alive[w]:
+                                continue
+                            if w not in pred:
+                                forward.append(w)
+                                pred[w] = v
+                            if w in succ:
+                                return w
+                else:
+                    level, reverse = reverse, []
+                    for v in level:
+                        for w in rows[v]:
+                            if not alive[w]:
+                                continue
+                            if w not in succ:
+                                succ[w] = v
+                                reverse.append(w)
+                            if w in pred:
+                                return w
+            return None
+
+        w = meet()
+        if w is None:
+            return None
+        path: List[int] = []
+        while w is not None:
+            path.append(w)
+            w = pred[w]
+        path.reverse()
+        w = succ[path[-1]]
+        while w is not None:
+            path.append(w)
+            w = succ[w]
+        ids = self._id_list
+        return tuple(ids[i] for i in path)
+
     # -- connectivity graphs ------------------------------------------------
     def _build_graph(self) -> nx.Graph:
         """Assemble the networkx graph from the sparse adjacency.
@@ -220,10 +367,10 @@ class Topology:
         g = nx.Graph()
         for node in self.alive_nodes():
             g.add_node(node.node_id, pos=node.position)
-        adjacency = self.sparse_adjacency()
-        ids = self._ids
-        for i, j, d in adjacency.undirected_edges():
-            g.add_edge(int(ids[i]), int(ids[j]), weight=d)
+        ids, alive = self._id_list, self._alive_flags
+        for i, j, d in self.sparse_adjacency().undirected_edges():
+            if alive[i] and alive[j]:
+                g.add_edge(ids[i], ids[j], weight=d)
         return g
 
     def graph(self) -> nx.Graph:
@@ -236,17 +383,17 @@ class Topology:
         return self._build_graph()
 
     def cached_graph(self) -> nx.Graph:
-        """Epoch-memoized connectivity graph, shared and **read-only**.
+        """Connectivity graph memoized per (geometry, liveness) state,
+        shared and **read-only**.
 
-        Routing (:func:`repro.wsn.routing.shortest_path_route`,
-        :func:`~repro.wsn.routing.sink_tree`) resolves against this
-        instance so replay/compile loops stop rebuilding the graph per
-        call; any alive/position mutation invalidates it via the
-        epoch.  Callers must never mutate the returned graph.
+        For graph algorithms (:func:`~repro.wsn.routing.sink_tree`,
+        :meth:`is_connected`); routes come from :meth:`route`, which
+        never builds it.  Callers must never mutate the returned graph.
         """
-        if self._graph_epoch != self._epoch:
+        state = (self._geometry, self._liveness)
+        if self._graph_key != state:
             self._graph = self._build_graph()
-            self._graph_epoch = self._epoch
+            self._graph_key = state
         return self._graph
 
     def graph_reference(self) -> nx.Graph:

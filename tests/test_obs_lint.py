@@ -437,8 +437,10 @@ def networkx_imports_any_scope(tree):
 
 #: The wsn hot query paths: spatial index + CSR adjacency, the node
 #: model (distance kernel), the generator suite, the accounting-heavy
-#: network layer, and the Choco round.  ``topology.py``/``routing.py``
-#: legitimately *assemble* nx graphs and are exempt.
+#: network layer, and the Choco round.  ``topology.py`` still builds
+#: the nx graphs of ``graph()``/``cached_graph()`` and ``routing.py``
+#: keeps the nx reference router and ``sink_tree``, so those two files
+#: are linted function by function instead (:data:`_ROUTING_HOT_PATH`).
 _NX_BANNED_WSN_FILES = (
     "spatial.py", "node.py", "generators.py", "network.py", "choco.py",
 )
@@ -456,6 +458,99 @@ def test_wsn_hot_paths_never_import_networkx():
         "networkx must stay out of the wsn hot query paths (graphs are "
         f"built from the sparse arrays, not vice versa): {offenders}"
     )
+
+
+#: The routing hot path, by file and function (``Class.method`` for a
+#: method): routes come from the BFS over the CSR adjacency, so these
+#: never touch networkx or an nx graph builder.
+_ROUTING_HOT_PATH = {
+    "wsn/routing.py": ("shortest_path_route",),
+    "wsn/topology.py": (
+        "Topology.route", "Topology._bfs_route", "Topology._csr_rows",
+    ),
+}
+#: What the routing hot path may not reference: the networkx module
+#: and the topology methods that build nx graphs.
+_NX_NAMES = {"nx", "networkx"}
+_NX_GRAPH_BUILDERS = {
+    "cached_graph", "graph", "_build_graph", "graph_reference",
+}
+
+
+def networkx_references(tree, qualnames):
+    """``qualname -> lines`` referencing networkx or an nx graph
+    builder inside each named top-level function or ``Class.method``
+    of ``tree`` (nested functions included); a name the module does
+    not define maps to None."""
+    functions = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            functions[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    functions[f"{node.name}.{item.name}"] = item
+    out = {}
+    for qualname in qualnames:
+        function = functions.get(qualname)
+        if function is None:
+            out[qualname] = None
+            continue
+        lines = networkx_imports_any_scope(function)
+        for node in ast.walk(function):
+            if (isinstance(node, ast.Name) and node.id in _NX_NAMES) or (
+                isinstance(node, ast.Attribute)
+                and node.attr in _NX_GRAPH_BUILDERS
+            ):
+                lines.append(node.lineno)
+        out[qualname] = sorted(lines)
+    return out
+
+
+def test_routing_hot_path_never_touches_networkx():
+    offenders = []
+    for name, qualnames in _ROUTING_HOT_PATH.items():
+        path = SRC / name
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for qualname, lines in networkx_references(tree, qualnames).items():
+            if lines is None:
+                offenders.append(f"{name}: {qualname} is missing")
+            else:
+                offenders.extend(f"{name}:{line} in {qualname}"
+                                 for line in lines)
+    assert offenders == [], (
+        "routes must come from the BFS over the CSR adjacency, not from "
+        f"networkx or an nx graph: {offenders}"
+    )
+
+
+def test_routing_lint_detects_violations():
+    names = ("route", "Topology.route")
+    for src in (
+        "def route(t, s, d):\n    return nx.shortest_path(t, s, d)\n",
+        "def route(t, s, d):\n    return t.cached_graph()\n",
+        "def route(t, s, d):\n    import networkx\n",
+        "class Topology:\n    def route(self, s, d):\n"
+        "        def walk():\n            return self._build_graph()\n"
+        "        return walk()\n",
+        "class Topology:\n    def route(self, s, d):\n"
+        "        return networkx.shortest_path(self.graph(), s, d)\n",
+    ):
+        found = networkx_references(ast.parse(src), names)
+        assert any(found.values()), src
+    clean = (
+        "import networkx as nx\n"
+        "def route(t, s, d):\n    return t._bfs_route(s, d)\n"
+        "def sink_tree(t, s):\n    return nx.bfs_tree(t.cached_graph(), s)\n"
+        "class Topology:\n    def route(self, s, d):\n"
+        "        return self.routes.get((s, d))\n"
+    )
+    assert networkx_references(ast.parse(clean), names) == {
+        "route": [], "Topology.route": [],
+    }
+    assert networkx_references(ast.parse("x = 1\n"), names) == {
+        "route": None, "Topology.route": None,
+    }
 
 
 def test_networkx_lint_detects_violations():

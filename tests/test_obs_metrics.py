@@ -145,6 +145,87 @@ class TestRegistry:
             reg.inc_counters("g", [((("node", 1),), 1)])
 
 
+class TestCounterFamily:
+    """A family is one-call storage for many label sets of a counter;
+    every reader must see exactly the plain series it replaces."""
+
+    @staticmethod
+    def _pair():
+        family, plain = MetricsRegistry(), MetricsRegistry()
+        for registry in (family, plain):
+            registry.counter("net.sent").inc(3)
+            registry.gauge("zeta").set(1.0)
+        return family, plain
+
+    @staticmethod
+    def _inc(family, plain, keys, amounts):
+        family.counter_family("net.link", ("src", "dst")).inc(keys, amounts)
+        for (src, dst), amount in zip(keys, amounts):
+            plain.counter("net.link", src=src, dst=dst).inc(amount)
+
+    def test_reads_match_plain_series(self):
+        family, plain = self._pair()
+        self._inc(family, plain, [(5, 3), (1, 10), (1, 2)], [7, 1, 4])
+        self._inc(family, plain, [(5, 3), (1, 10), (1, 2), (0, 9)],
+                  [1, 0, 2, 6])
+        self._inc(family, plain, [(0, 9), (5, 3)], [1, 1])  # reordered
+        assert family.snapshot() == plain.snapshot()
+        assert [(n, l) for n, l, __ in family.series()] == [
+            (n, l) for n, l, __ in plain.series()
+        ]
+        assert len(family) == len(plain) == 6
+        assert family.value("net.link", src=5, dst=3) == 9.0
+        assert family.value("net.link", dst=3, src=5) == 9.0
+        assert family.value("net.link", src=8, dst=8) == 0.0
+        assert family.value("net.link") == 0.0
+        assert family.total("net.link") == plain.total("net.link") == 23.0
+
+    def test_a_name_is_a_family_or_plain_series(self):
+        reg = MetricsRegistry()
+        reg.counter_family("f", ("node",)).inc([(1,)], [1.0])
+        for access in (
+            lambda: reg.counter("f", node=1),
+            lambda: reg.gauge("f", node=1),
+            lambda: reg.histogram("f"),
+            lambda: reg.inc_counters("f", [((("node", 1),), 1)]),
+        ):
+            with pytest.raises(TypeError, match="counter family"):
+                access()
+        reg.counter("c", node=1)
+        with pytest.raises(TypeError, match="plain counter"):
+            reg.counter_family("c", ("node",))
+
+    def test_counter_rules_hold(self):
+        reg = MetricsRegistry()
+        fam = reg.counter_family("f", ("node",))
+        with pytest.raises(ValueError, match="only go up"):
+            fam.inc([(1,)], [-1.0])
+        with pytest.raises(ValueError, match="labels"):
+            reg.counter_family("f", ("src",))
+
+    def test_retract_and_clear(self):
+        reg = MetricsRegistry()
+        fam = reg.counter_family("f", ("node",))
+        fam.inc([(1,), (2,)], [3.0, 4.0])
+        fam.retract([(2,), (1,)], [4.0, 3.0])
+        assert reg.snapshot() == [
+            ["f", [["node", 1]], "counter", 0.0],
+            ["f", [["node", 2]], "counter", 0.0],
+        ]
+        reg.clear()
+        assert len(reg) == 0
+        assert reg.snapshot() == []
+
+    def test_numpy_label_values_read_canonically(self):
+        import numpy as np
+
+        reg = MetricsRegistry()
+        reg.counter_family("f", ("node",)).inc([(np.int64(3),)], [1.0])
+        assert reg.snapshot() == [["f", [["node", 3]], "counter", 1.0]]
+        assert type(reg.snapshot()[0][1][0][1]) is int
+        assert reg.value("f", node=3) == 1.0
+
+
 class TestNullMetrics:
     def test_shared_inert_instruments(self):
         null = NullMetrics()

@@ -152,6 +152,68 @@ class TestSampling:
         assert [p.value for p in s2.points.values()] == [11.0, 5.0]
 
 
+class TestCounterFamilies:
+    """The recorder's numpy path for counter families must read exactly
+    as its per-series path over the same counts held as plain series."""
+
+    STEPS = (
+        [((1, 2), 3), ((0, 1), 5)],
+        [((1, 2), 1), ((0, 1), 0)],
+        [((1, 2), 2), ((0, 1), 1), ((2, 0), 4)],   # a member appears
+        "clear",
+        [((2, 0), 9)],                             # refilled with a subset
+        [((2, 0), 1), ((1, 2), 6)],                # a member returns
+        [],
+        "clear",
+        [((1, 2), 2), ((0, 1), 1), ((2, 0), 4)],
+        [((1, 2), 2), ((0, 1), 1), ((2, 0), 4)],
+    )
+
+    def _run(self, as_family):
+        state = {"t": 0.0}
+        tel = Telemetry()
+        rec = _recorder(tel, clock=lambda: state["t"], window=3, capacity=5)
+        seen = []
+        for step in self.STEPS:
+            state["t"] += 0.5
+            if step == "clear":
+                tel.metrics.clear()
+                continue
+            tel.metrics.counter("net.hops").inc(1)
+            if as_family and step:
+                keys, amounts = zip(*step)
+                tel.metrics.counter_family(
+                    "net.link", ("src", "dst")
+                ).inc(list(keys), list(amounts))
+            else:
+                for (src, dst), amount in step:
+                    tel.metrics.counter("net.link", src=src, dst=dst).inc(
+                        amount
+                    )
+            sample = rec.sample()
+            seen.append([
+                (key, p.name, p.labels, p.kind, p.value, p.delta, p.rate)
+                for key, p in sample.points.items()
+            ])
+            assert sample.get("net.link{dst=2,src=1}") == (
+                sample.points.get("net.link{dst=2,src=1}")
+            )
+        return rec.to_jsonl(), seen
+
+    def test_family_path_matches_plain_series(self):
+        assert self._run(as_family=True) == self._run(as_family=False)
+
+    def test_points_are_built_once_on_read(self):
+        tel = Telemetry()
+        rec = _recorder(tel)
+        tel.metrics.counter("a").inc()
+        tel.metrics.counter_family("m", ("node",)).inc([(2,), (10,)], [1, 1])
+        tel.metrics.counter("z").inc()
+        sample = rec.sample()
+        assert list(sample.points) == ["a", "m{node=2}", "m{node=10}", "z"]
+        assert sample.points is sample.points
+
+
 class TestRingBuffer:
     def test_drop_oldest_and_dropped_counter(self):
         rec = _recorder(capacity=3)

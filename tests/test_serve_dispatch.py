@@ -176,6 +176,26 @@ class TestTenantIsolation:
         ) == 1.0
         assert h.metric("serve.plan_runs", tenant="hvac") == 1.0
 
+    def test_fault_state_reports_unroutable(self):
+        """A node moved out of radio range leaves every node alive, so
+        only compiling the plan finds the unroutable transfer; the
+        health report must name the reason ``infer`` serves with, and
+        asking must move no traffic."""
+        h = ServeHarness(policy=BatchPolicy(max_batch=8, max_delay=0.01))
+        fall = h.pool.require("fall")
+        node = list(fall.topology)[4]
+        x, y = node.position
+        node.position = (x + 10.0, y)
+        sent = fall.network.stats.sent
+        assert fall.fault_state() == "unroutable"
+        assert fall.describe()["fault"] == "unroutable"
+        assert fall.network.stats.sent == sent
+        served = h.submit("fall")
+        h.advance(0.01)
+        assert served.result().served_by == "fallback:unroutable"
+        node.position = (x, y)
+        assert fall.fault_state() is None
+
     def test_fallback_accounts_traffic_for_real_requests_only(self):
         """The oracle replay accounts exactly the flushed request
         count — pad rows never inflate the network counters."""
