@@ -6,7 +6,8 @@ Starts the multi-tenant HTTP service in-process on an ephemeral port
 1. host two pre-trained scenario tenants (fall monitoring + HVAC);
 2. POST recognition requests and read logits/labels back;
 3. fire a concurrent burst and watch the micro-batching dispatcher
-   coalesce it (requests/sec, per-request latency, batch sizes);
+   coalesce it: requests that arrive in the same event-loop turn
+   share a batch (requests/sec, per-request latency, batch sizes);
 4. hot-swap a tenant live and see the served bytes change;
 5. read the same telemetry that ``/metrics`` exposes.
 
@@ -27,7 +28,7 @@ from repro.serve.loadgen import HttpClient, run_load
 
 async def demo() -> None:
     # 1. Host two tenants: short training keeps the demo quick.
-    app = ServeApp(BatchPolicy(max_batch=4, max_delay=0.002))
+    app = ServeApp(BatchPolicy(max_batch=4))
     print("building tenants (fall, hvac) ...")
     for name in ("fall", "hvac"):
         app.add_tenant(TenantConfig(
@@ -51,7 +52,8 @@ async def demo() -> None:
               f"served_by={body['served_by']} "
               f"batch={body['batch_size']}")
 
-    # 3. A concurrent burst: the dispatcher coalesces per tenant.
+    # 3. A concurrent burst: the dispatcher coalesces per tenant
+    #    whatever arrives in one loop turn (up to max_batch).
     n = 24
     payloads = [
         {"tenant": ("fall", "hvac")[i % 2],

@@ -521,9 +521,7 @@ def cmd_serve(args) -> int:
         return 2
     try:
         policy = BatchPolicy(
-            max_batch=args.max_batch,
-            max_delay=args.max_delay,
-            max_pending=args.max_pending,
+            max_batch=args.max_batch, max_pending=args.max_pending,
         )
         policy.validate()
     except ValueError as exc:
@@ -545,8 +543,7 @@ def cmd_serve(args) -> int:
         print("  POST /v1/recognize   {\"tenant\": ..., \"input\": [[...]]}")
         print("  POST /v1/tenants     hot-swap a tenant")
         print("  GET  /healthz /metrics /traces")
-        print(f"  batching: max_batch={policy.max_batch} "
-              f"max_delay={policy.max_delay}s "
+        print(f"  batching: next loop turn, max_batch={policy.max_batch} "
               f"max_pending={policy.max_pending}", flush=True)
 
     try:
@@ -871,12 +868,9 @@ def main(argv: Optional[list] = None) -> int:
                                    "(default 2; 0 skips training)")
     serve_parser.add_argument("--max-batch", type=int, default=8,
                               metavar="N",
-                              help="flush a tenant's window at N pending "
-                                   "requests (default 8)")
-    serve_parser.add_argument("--max-delay", type=float, default=0.005,
-                              metavar="SECONDS",
-                              help="batching window (default 0.005; 0 "
-                                   "serves each request synchronously)")
+                              help="flush a tenant's lane at N pending "
+                                   "requests, before the next loop turn "
+                                   "(default 8)")
     serve_parser.add_argument("--max-pending", type=int, default=256,
                               metavar="N",
                               help="per-tenant backpressure bound "

@@ -624,12 +624,13 @@ def bench_serve_throughput(
     A closed-loop asyncio load generator drives ``n_requests``
     recognition requests (round-robin over two tenants) through a live
     :class:`repro.serve.ServeApp` on an ephemeral port.  The timed
-    side runs the micro-batching policy; the reference side is an
-    identical app with batching disabled (``max_batch=1``,
-    ``max_delay=0``), so the committed speedup is the measured benefit
-    of request coalescing at the offered concurrency.  Runs are
-    interleaved (batched, unbatched) pairs so drift hits both sides
-    equally.
+    side runs the micro-batching policy (a lane flushes on the next
+    loop turn, or at ``max_batch``); the reference side is an
+    identical app with batching disabled (``max_batch=1``: every
+    request flushes inside its own submit), so the committed speedup
+    is the measured benefit of request coalescing at the offered
+    concurrency.  Runs are interleaved (batched, unbatched) pairs so
+    drift hits both sides equally.
 
     Before any clock starts, a parity pass asserts the served logits
     are **byte-identical** to a direct
@@ -647,16 +648,12 @@ def bench_serve_throughput(
 
     n_requests = 24 if quick else 96
     # Eight closed-loop workers over two tenants offer ~4 concurrent
-    # requests per lane; max_batch matches, so windows fill and flush
-    # without waiting out the max_delay timer.
+    # requests per lane; max_batch matches, so the requests that arrive
+    # in one loop turn fill a batch and flush before the turn ends.
     concurrency = 8
     tenants = ("fall", "hvac")
-    batched_policy = BatchPolicy(
-        max_batch=4, max_delay=0.002, max_pending=1024
-    )
-    unbatched_policy = BatchPolicy(
-        max_batch=1, max_delay=0.0, max_pending=1024
-    )
+    batched_policy = BatchPolicy(max_batch=4, max_pending=1024)
+    unbatched_policy = BatchPolicy(max_batch=1, max_pending=1024)
 
     def build_app(policy: "BatchPolicy") -> "ServeApp":
         app = ServeApp(policy)
@@ -758,7 +755,7 @@ def bench_serve_throughput(
         "serve_throughput",
         {"n_requests": n_requests, "concurrency": concurrency,
          "tenants": list(tenants), "max_batch": batched_policy.max_batch,
-         "max_delay": batched_policy.max_delay, "seed": seed},
+         "seed": seed},
         input_digest(
             *[per_tenant[name] for name in tenants],
             extra=f"serve_throughput seed={seed} n={n_requests}",

@@ -8,13 +8,15 @@ multi-tenant asyncio HTTP daemon (stdlib only): pre-trained tenants
 (:mod:`repro.serve.loadgen`), and a fully deterministic fake-clock
 test harness (:mod:`repro.serve.testing`).  All timing flows through
 the clock shim (:mod:`repro.serve.clock`) so batching behavior is
-testable without sockets or sleeps.
+testable without sockets or sleeps.  A lane flushes on the event
+loop's next turn: requests ready in the same turn share one batch, up
+to ``max_batch``, and a lone request never waits.
 
 Start one from Python::
 
     from repro.serve import BatchPolicy, ServeApp, TenantConfig
 
-    app = ServeApp(BatchPolicy(max_batch=8, max_delay=0.002))
+    app = ServeApp(BatchPolicy(max_batch=8))
     app.add_tenant(TenantConfig(name="fall", scenario="fall"))
     asyncio.run(app.run(port=8080))
 

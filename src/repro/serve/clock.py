@@ -10,7 +10,7 @@ through a clock object with two methods::
 running asyncio event loop's monotonic clock and timer wheel.  The
 test harness substitutes :class:`repro.serve.testing.FakeClock`, a
 deterministic virtual clock advanced explicitly — which is why the
-batching windows, latency histograms, and shutdown races are testable
+batching turns, latency histograms, and shutdown races are testable
 without a single real sleep.
 
 This module is the *only* place in ``repro.serve`` allowed to touch

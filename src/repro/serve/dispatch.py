@@ -2,18 +2,20 @@
 
 Concurrent ``/v1/recognize`` requests for the same tenant are
 coalesced into one executor forward: the first request into an empty
-lane arms a ``max_delay`` timer; the batch flushes early the moment it
-reaches ``max_batch`` (and a ``max_delay`` of zero flushes every
-request synchronously — the single-request fast path).  Lanes are
-strictly per-tenant: one tenant's pending window, fault fallback, or
-flush never delays another tenant's timer.
+lane schedules the lane's flush for the next event-loop turn, so
+every request that is ready in the same turn rides one batch and a
+lone request never waits.  The batch flushes early the moment it
+reaches ``max_batch``.  Lanes are strictly per-tenant: one tenant's
+pending turn, fault fallback, or flush never delays another tenant.
 
 The dispatcher is deliberately loop-agnostic.  Time comes from the
-clock shim (:mod:`repro.serve.clock`) and completion from a pluggable
+clock shim (:mod:`repro.serve.clock`; the next turn is
+``clock.call_later(0.0, ...)``) and completion from a pluggable
 future factory, so the same object runs under the asyncio server
 (loop timers + ``loop.create_future``) and under the deterministic
-test harness (:class:`repro.serve.testing.FakeClock` + plain
-futures) — no sockets, no sleeps, byte-identical results.
+test harness (:class:`repro.serve.testing.FakeClock`, whose
+``run_due()`` is the next turn, + plain futures) — no sockets, no
+sleeps, byte-identical results.
 
 Backpressure is a bounded lane: more than ``max_pending`` queued
 requests for one tenant rejects the submit with
@@ -72,22 +74,16 @@ class BatchPolicy:
 
     Args:
         max_batch: flush as soon as this many requests are pending.
-        max_delay: seconds the first request of a window waits for
-            company before the lane flushes anyway; ``0`` serves every
-            request synchronously on arrival.
         max_pending: backpressure bound — queued (not yet flushed)
             requests per tenant beyond which submits are rejected.
     """
 
     max_batch: int = 8
-    max_delay: float = 0.005
     max_pending: int = 256
 
     def validate(self) -> None:
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_delay < 0:
-            raise ValueError(f"max_delay must be >= 0, got {self.max_delay}")
         if self.max_pending < 1:
             raise ValueError(
                 f"max_pending must be >= 1, got {self.max_pending}"
@@ -169,7 +165,7 @@ class _Request:
 
 
 class _Lane:
-    """One tenant's pending window."""
+    """One tenant's pending requests and its scheduled flush."""
 
     __slots__ = ("pending", "timer")
 
@@ -260,12 +256,11 @@ class Dispatcher:
         lane.pending.append(_Request(x, future, self.clock.now()))
         if len(lane.pending) >= self.policy.max_batch:
             self._flush(tenant_name)
-        elif self.policy.max_delay == 0.0:
-            # Single-request fast path: no window to wait for.
-            self._flush(tenant_name)
         elif lane.timer is None:
+            # Flush on the next loop turn: whatever else is ready in
+            # this turn joins the batch, and nothing waits longer.
             lane.timer = self.clock.call_later(
-                self.policy.max_delay, lambda: self._flush(tenant_name)
+                0.0, lambda: self._flush(tenant_name)
             )
         return future
 
@@ -282,11 +277,11 @@ class Dispatcher:
             return
         tenant = self.pool.get(tenant_name)
         if tenant is None:
-            # Removed between queueing and the window closing.
+            # Removed between queueing and the flush.
             for request in requests:
                 request.future.set_exception(UnknownTenant(tenant_name))
             return
-        # Hot-swap may have changed the input shape mid-window; serve
+        # Hot-swap may have changed the input shape since submit; serve
         # the requests that still fit, fail the rest individually.
         batch: List[_Request] = []
         for request in requests:
@@ -341,7 +336,7 @@ class Dispatcher:
             ))
 
     def flush_all(self) -> None:
-        """Flush every lane's pending window immediately."""
+        """Flush every lane's pending requests immediately."""
         for name in sorted(self._lanes):
             self._flush(name)
 

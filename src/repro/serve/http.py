@@ -47,8 +47,13 @@ Endpoints:
     In-flight requests queued for the old tenant are served by the
     new one (see :class:`~repro.serve.tenants.TenantPool`).
 
-Status codes: 400 malformed JSON/input, 404 unknown route or tenant,
-405 wrong method, 503 overloaded or shutting down.
+Status codes: 400 malformed JSON/input or tenant config, 404 unknown
+route or tenant, 405 wrong method, 503 overloaded or shutting down.
+Every error body is ``{"error": ..., "detail": ...}``.  A request the
+parser cannot frame (a bad request line or target, a line over the
+reader's 64 KiB limit, a ``Content-Length`` that is not ASCII digits
+or is over :data:`MAX_BODY_BYTES`) is answered with its 400 and the
+connection closes.
 """
 
 from __future__ import annotations
@@ -92,6 +97,34 @@ class _BadRequest(Exception):
         self.error = error
         self.detail = detail
         super().__init__(error)
+
+
+def _error_payload(error: str, detail: str = "") -> bytes:
+    """The JSON body of every error response."""
+    return json.dumps({"error": error, "detail": detail}).encode()
+
+
+async def _read_line(reader) -> bytes:
+    """One line, line feed included; a line over the reader's limit
+    is a 400."""
+    try:
+        return await reader.readline()
+    except ValueError as exc:  # asyncio's limit overrun
+        raise _BadRequest(400, "line-too-long", str(exc))
+
+
+def _content_length(headers: Dict[str, str]) -> int:
+    """The body length: ASCII digits only (no sign, space, ``_`` or
+    non-ASCII digit that ``int()`` would accept), at most
+    :data:`MAX_BODY_BYTES`; a missing or empty header means 0."""
+    raw = headers.get("content-length") or "0"
+    if not (raw.isascii() and raw.isdigit()):
+        raise _BadRequest(400, "bad-content-length", raw)
+    digits = raw.lstrip("0") or "0"
+    if (len(digits) > len(str(MAX_BODY_BYTES))
+            or int(digits) > MAX_BODY_BYTES):
+        raise _BadRequest(400, "body-too-large", f"{raw} bytes")
+    return int(digits)
 
 
 #: Default p99 latency budget (seconds) for the stock serve rules.
@@ -278,7 +311,18 @@ class ServeApp:
         self._connections.add(writer)
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _BadRequest as exc:
+                    # The stream position is unknown after a parse
+                    # error: answer, then close.
+                    self._write_response(
+                        writer, exc.status,
+                        _error_payload(exc.error, exc.detail),
+                        "application/json", keep_alive=False,
+                    )
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 keep_alive = await self._handle_request(request, writer)
@@ -305,54 +349,52 @@ class ServeApp:
                 pass
 
     async def _read_request(self, reader) -> Optional[Tuple]:
-        line = await reader.readline()
+        """One request off the stream as ``(method, split target,
+        headers, body)``, or ``None`` at a clean end of stream.
+        Malformed input raises :class:`_BadRequest` (a 4xx); a peer
+        that hangs up mid-body raises
+        :class:`asyncio.IncompleteReadError`."""
+        line = await _read_line(reader)
         if not line or line in (b"\r\n", b"\n"):
             return None
         try:
             method, target, __ = line.decode("latin-1").strip().split(" ", 2)
+            parts = urlsplit(target)  # e.g. "//[" is a ValueError
         except ValueError:
             raise _BadRequest(400, "malformed-request-line")
         headers: Dict[str, str] = {}
         while True:
-            header = await reader.readline()
+            header = await _read_line(reader)
             if not header or header in (b"\r\n", b"\n"):
                 break
             name, sep, value = header.decode("latin-1").partition(":")
             if sep:
                 headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length > MAX_BODY_BYTES:
-            raise _BadRequest(400, "body-too-large", f"{length} bytes")
+        length = _content_length(headers)
         body = await reader.readexactly(length) if length else b""
-        return method.upper(), target, headers, body
+        return method.upper(), parts, headers, body
 
     async def _handle_request(self, request, writer) -> bool:
-        method, target, headers, body = request
-        parts = urlsplit(target)
-        path = parts.path
+        method, parts, headers, body = request
+        content_type = "application/json"
         try:
             status, payload, content_type = await self._route(
-                method, path, parts.query, body
+                method, parts.path, parts.query, body
             )
         except _BadRequest as exc:
-            status = exc.status
-            payload = json.dumps(
-                {"error": exc.error, "detail": exc.detail}
-            ).encode()
-            content_type = "application/json"
+            status, payload = exc.status, _error_payload(exc.error, exc.detail)
         except UnknownTenant as exc:
-            status = 404
-            payload = json.dumps(
-                {"error": "unknown-tenant", "detail": str(exc)}
-            ).encode()
-            content_type = "application/json"
+            status, payload = 404, _error_payload("unknown-tenant", str(exc))
         except (TenantOverloaded, DispatcherClosed) as exc:
-            status = 503
-            payload = json.dumps(
-                {"error": "overloaded", "detail": str(exc)}
-            ).encode()
-            content_type = "application/json"
+            status, payload = 503, _error_payload("overloaded", str(exc))
         keep_alive = headers.get("connection", "").lower() != "close"
+        self._write_response(writer, status, payload, content_type,
+                             keep_alive)
+        return keep_alive
+
+    @staticmethod
+    def _write_response(writer, status: int, payload: bytes,
+                        content_type: str, keep_alive: bool) -> None:
         head = (
             f"HTTP/1.1 {status} {_STATUS.get(status, 'Unknown')}\r\n"
             f"Content-Type: {content_type}\r\n"
@@ -361,7 +403,6 @@ class ServeApp:
             "\r\n"
         )
         writer.write(head.encode("latin-1") + payload)
-        return keep_alive
 
     # -- routing -------------------------------------------------------------
     async def _route(
@@ -414,7 +455,9 @@ class ServeApp:
     def _json_body(body: bytes) -> Dict:
         try:
             payload = json.loads(body.decode("utf-8") or "null")
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad UTF-8, bad JSON and an integer
+            # literal past Python's digit limit; RecursionError, nesting.
             raise _BadRequest(400, "malformed-json", str(exc))
         if not isinstance(payload, dict):
             raise _BadRequest(400, "malformed-json", "body must be an object")
@@ -429,7 +472,6 @@ class ServeApp:
             "tenants": self.pool.describe(),
             "policy": {
                 "max_batch": self.policy.max_batch,
-                "max_delay": self.policy.max_delay,
                 "max_pending": self.policy.max_pending,
             },
             "alerts": {
@@ -526,7 +568,7 @@ class ServeApp:
                               "body needs an 'input' array")
         try:
             x = np.asarray(payload["input"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise _BadRequest(400, "malformed-input", str(exc))
         if x.shape == tenant.input_shape[1:] and tenant.input_shape[0] == 1:
             x = x[np.newaxis]
@@ -547,17 +589,9 @@ class ServeApp:
         }, sort_keys=True).encode()
 
     def _swap_tenant(self, body: bytes) -> bytes:
-        payload = self._json_body(body)
         try:
-            config = TenantConfig(
-                name=payload.get("name", payload.get("scenario", "")),
-                scenario=payload.get("scenario", ""),
-                seed=int(payload.get("seed", 0)),
-                train_epochs=int(payload.get("train_epochs", 0)),
-                train_samples=int(payload.get("train_samples", 64)),
-            )
-            config.validate()
-        except (TypeError, ValueError) as exc:
+            config = TenantConfig.from_payload(self._json_body(body))
+        except ValueError as exc:
             raise _BadRequest(400, "bad-tenant-config", str(exc))
         tenant = self.add_tenant(config)
         return json.dumps(

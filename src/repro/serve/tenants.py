@@ -98,20 +98,47 @@ class TenantConfig:
     train_epochs: int = 2
     train_samples: int = 64
 
+    @classmethod
+    def from_payload(cls, payload: Dict) -> "TenantConfig":
+        """A validated config from a decoded ``POST /v1/tenants``
+        object.  ``name`` defaults to the scenario and nothing is
+        coerced: a wrong type or range raises ``ValueError`` naming
+        the field."""
+        config = cls(
+            name=payload.get("name", payload.get("scenario", "")),
+            scenario=payload.get("scenario", ""),
+            seed=payload.get("seed", 0),
+            train_epochs=payload.get("train_epochs", 0),
+            train_samples=payload.get("train_samples", 64),
+        )
+        config.validate()
+        return config
+
     def validate(self) -> None:
-        if not self.name:
-            raise ValueError("tenant name must be non-empty")
+        """Raise ``ValueError`` naming the first bad field: ``name``
+        and ``scenario`` must be non-empty strings, the rest integers
+        (never bools) with ``seed >= 0``, ``train_epochs >= 0`` and
+        ``train_samples >= 2``."""
+        for field in ("name", "scenario"):
+            value = getattr(self, field)
+            if not isinstance(value, str):
+                raise ValueError(f"{field} must be a string, "
+                                 f"got {type(value).__name__}")
+            if not value:
+                raise ValueError(f"{field} must be non-empty")
         if self.scenario not in SCENARIOS:
             raise ValueError(
                 f"unknown scenario {self.scenario!r}; available: "
                 f"{', '.join(sorted(SCENARIOS))}"
             )
-        if self.train_epochs < 0:
-            raise ValueError(f"train_epochs must be >= 0, got "
-                             f"{self.train_epochs}")
-        if self.train_samples < 2:
-            raise ValueError(f"train_samples must be >= 2, got "
-                             f"{self.train_samples}")
+        for field, low in (("seed", 0), ("train_epochs", 0),
+                           ("train_samples", 2)):
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{field} must be an integer, "
+                                 f"got {type(value).__name__}")
+            if value < low:
+                raise ValueError(f"{field} must be >= {low}")
 
 
 def _build_model(spec: ScenarioSpec) -> Sequential:
@@ -253,9 +280,9 @@ class TenantPool:
     """Name -> :class:`Tenant` registry with live hot-swap.
 
     The dispatcher resolves the tenant *at flush time*, so a swap that
-    lands between a request being queued and its batching window
-    closing is well-defined: the queued requests are served by the new
-    tenant (their input shapes are re-validated against it).
+    lands between a request being queued and its lane's flush is
+    well-defined: the queued requests are served by the new tenant
+    (their input shapes are re-validated against it).
     """
 
     def __init__(self, tenants: Optional[List[Tenant]] = None) -> None:

@@ -3,11 +3,12 @@
 :class:`FakeClock` is a virtual clock with the same two-method
 surface as :class:`repro.serve.clock.LoopClock` (``now`` /
 ``call_later``) plus an explicit :meth:`FakeClock.advance`.  Driving
-the dispatcher on it makes batching windows, hot-swap races, fault
-fallback, and shutdown draining fully deterministic: no sockets, no
-event loop, no real sleeps — a max-delay flush "happens" the instant
-the test advances the clock past the deadline, and latency histograms
-come out exact.
+the dispatcher on it makes batching, hot-swap races, fault fallback,
+and shutdown draining fully deterministic: no sockets, no event loop,
+no real sleeps.  :meth:`FakeClock.run_due` is the event loop's next
+turn — the dispatcher's lane flush (``call_later(0.0, ...)``)
+"happens" there, every submit made before it rides the same batch,
+and latency histograms come out exact.
 
 :class:`ServeHarness` bundles the pieces a dispatcher test needs:
 tiny untrained (``train_epochs=0`` — still deterministic) tenants, a
@@ -47,8 +48,8 @@ class FakeClock:
 
     Callbacks fire in ``(deadline, schedule order)`` order while the
     clock advances; a callback scheduled *during* an advance (e.g. a
-    flush arming a new window) fires within the same advance if its
-    deadline falls inside it.
+    timeline tick re-arming itself) fires within the same advance if
+    its deadline falls inside it.
     """
 
     def __init__(self, start: float = 0.0) -> None:
@@ -84,7 +85,8 @@ class FakeClock:
         return fired
 
     def run_due(self) -> int:
-        """Fire callbacks due *now* without moving time."""
+        """Fire callbacks due *now* without moving time — the event
+        loop's next turn, where zero-delay callbacks run."""
         return self.advance(0.0)
 
     def scheduled(self) -> int:
@@ -97,8 +99,7 @@ class ServeHarness:
 
     Args:
         tenants: scenario names to host (tenant name == scenario).
-        policy: batching knobs (default: ``max_batch=4``,
-            ``max_delay=0.01``).
+        policy: batching knobs (default: ``max_batch=4``).
         seed: tenant build seed.
         telemetry: explicit backend; a fresh live
             :class:`repro.obs.Telemetry` by default, so metric asserts
@@ -118,7 +119,7 @@ class ServeHarness:
             telemetry = Telemetry()
         self.telemetry = telemetry
         self.clock = FakeClock()
-        self.policy = policy or BatchPolicy(max_batch=4, max_delay=0.01)
+        self.policy = policy or BatchPolicy(max_batch=4)
         self.pool = TenantPool([
             self.build_tenant(name, seed=seed) for name in tenants
         ])
@@ -156,6 +157,9 @@ class ServeHarness:
 
     def advance(self, dt: float) -> int:
         return self.clock.advance(dt)
+
+    def run_due(self) -> int:
+        return self.clock.run_due()
 
     def drain(self) -> None:
         self.dispatcher.drain()

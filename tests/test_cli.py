@@ -167,10 +167,17 @@ class TestServeCli:
     def test_bad_policy_is_usage_error(self, capsys):
         assert main(["serve", "--max-batch", "0"]) == 2
         assert "max_batch" in capsys.readouterr().err
-        assert main(["serve", "--max-delay", "-1"]) == 2
-        assert "max_delay" in capsys.readouterr().err
         assert main(["serve", "--max-pending", "0"]) == 2
         assert "max_pending" in capsys.readouterr().err
+
+    def test_max_delay_flag_is_gone(self, capsys):
+        """Lanes flush on the next loop turn; there is no window to
+        size."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--max-delay", "0.005"])
+        assert exc.value.code == 2
+        assert ("unrecognized arguments: --max-delay"
+                in capsys.readouterr().err)
 
     def test_stop_after_serves_and_exits_cleanly(self):
         """End to end through a real subprocess: ephemeral port, one

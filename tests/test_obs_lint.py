@@ -18,7 +18,7 @@ contract (index-keyed seed substreams, canonical merge).
 And ``repro.serve`` (outside its clock shim, ``serve/clock.py``) may
 not touch raw timing primitives — no ``time`` imports, no
 ``asyncio.sleep`` with a literal delay — so the fake-clock test
-harness stays authoritative over every batching window.
+harness stays authoritative over every batching turn.
 
 Placement reads (``node_of``, ``input_node``, ``unit_node``) belong to
 the placement, its :class:`~repro.core.PlacementIndex`, the one
@@ -270,7 +270,7 @@ def serve_timing_usage(tree):
     stays authoritative: any ``time`` import (``time.time`` /
     ``monotonic`` / ``perf_counter`` / ``sleep`` ride in on it) or an
     ``asyncio.sleep`` with a literal delay is a hidden dependence on
-    real time that would make batching windows untestable without
+    real time that would make batching untestable without
     real sleeps.
     """
     offenders = []

@@ -111,7 +111,9 @@ class TestBenchCli:
         assert counters["parity_metrics_reconciled"] == 1.0
         assert counters["rps"] > 0
         assert 0 < counters["p50_ms"] <= counters["p99_ms"]
-        assert 1.0 <= counters["mean_batch"] <= bench["params"]["max_batch"]
+        # The batched side really coalesces: closed-loop requests that
+        # arrive in one loop turn share a batch.
+        assert 1.0 < counters["mean_batch"] <= bench["params"]["max_batch"]
         assert bench["reference_timing"]["best_s"] > 0
         assert bench["params"]["concurrency"] >= bench["params"]["max_batch"]
 

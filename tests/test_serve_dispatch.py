@@ -1,11 +1,13 @@
 """Deterministic dispatcher tests on the fake clock.
 
-Every batching behavior here — window flushes, early flushes, the
-synchronous fast path, tenant isolation, hot-swap races, backpressure,
+Every batching behavior here — next-turn flushes, early flushes at
+``max_batch``, tenant isolation, hot-swap races, backpressure,
 shutdown draining — runs on :class:`repro.serve.testing.FakeClock`
-with zero real sleeps and no sockets: time moves only when a test
-calls ``advance``, so the assertions are exact (a request's recorded
-latency *equals* the batching window, not approximately).
+with zero real sleeps and no sockets.  A lane flushes on the event
+loop's next turn, which the harness runs as ``run_due()``: every
+submit before it rides one batch, and time moves only when a test
+calls ``advance``, so the assertions are exact (a lone request's
+recorded latency *is* 0.0, not approximately).
 """
 
 import numpy as np
@@ -80,63 +82,69 @@ class TestFakeClock:
 
 
 class TestBatchingWindows:
-    def test_max_delay_flush(self):
-        """Requests below max_batch wait out the window, then flush
-        together; recorded latency is exactly the window."""
-        h = ServeHarness(policy=BatchPolicy(max_batch=4, max_delay=0.01))
-        futures = [h.submit("fall") for __ in range(3)]
-        assert not any(f.done() for f in futures)
-        h.advance(0.005)
-        assert not any(f.done() for f in futures)
-        h.advance(0.005)  # 0.005 + 0.005 == 0.01 exactly in binary
-        assert all(f.done() for f in futures)
-        results = [f.result() for f in futures]
-        assert all(r.batch_size == 3 for r in results)
-        assert all(r.latency_s == 0.01 for r in results)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_submits_in_one_turn_form_one_batch(self, n):
+        """N submits in the same loop turn ride one batch of N, for
+        every N up to max_batch; below it the batch waits for the
+        turn to end, at max_batch it flushes inside the submit."""
+        h = ServeHarness(policy=BatchPolicy(max_batch=4))
+        futures = [h.submit("fall") for __ in range(n)]
+        assert [f.done() for f in futures] == [n == 4] * n
+        h.run_due()
+        assert all(f.result().batch_size == n for f in futures)
         assert h.metric("serve.batches", tenant="fall") == 1.0
+        assert h.clock.now() == 0.0
 
     def test_max_batch_flushes_early(self):
-        """The window closes the instant it fills — no clock advance."""
-        h = ServeHarness(policy=BatchPolicy(max_batch=4, max_delay=10.0))
+        """The lane flushes the instant it fills, before the turn
+        ends, and the scheduled turn is cancelled."""
+        h = ServeHarness(policy=BatchPolicy(max_batch=4))
         futures = [h.submit("fall") for __ in range(4)]
         assert all(f.done() for f in futures)
         assert all(f.result().batch_size == 4 for f in futures)
         assert all(f.result().latency_s == 0.0 for f in futures)
-        # The armed timer was cancelled; nothing is left to fire.
+        # The scheduled flush was cancelled; nothing is left to fire.
         assert h.clock.scheduled() == 0
 
     def test_single_request_fast_path(self):
-        """max_delay=0 serves each request synchronously on arrival."""
-        h = ServeHarness(policy=BatchPolicy(max_batch=8, max_delay=0.0))
+        """A lone request never waits: it flushes on the next turn
+        with no clock advance and a latency of exactly zero."""
+        h = ServeHarness(policy=BatchPolicy(max_batch=8))
         future = h.submit("fall")
-        assert future.done()
+        assert not future.done()
+        assert h.clock.scheduled() == 1
+        assert h.run_due() == 1
         result = future.result()
         assert result.batch_size == 1
         assert result.latency_s == 0.0
+        assert h.clock.now() == 0.0
         assert h.clock.scheduled() == 0
 
     def test_fresh_window_rearms_after_flush(self):
-        h = ServeHarness(policy=BatchPolicy(max_batch=4, max_delay=0.01))
+        """A submit after the turn has run starts a new batch."""
+        h = ServeHarness(policy=BatchPolicy(max_batch=4))
         first = h.submit("fall")
-        h.advance(0.01)
+        h.run_due()
         assert first.done()
         second = h.submit("fall")
         assert not second.done()
-        h.advance(0.01)
-        assert second.done()
-        assert second.result().latency_s == 0.01
+        assert h.clock.scheduled() == 1
+        h.run_due()
+        assert second.result().batch_size == 1
+        assert second.result().latency_s == 0.0
+        assert h.metric("serve.batches", tenant="fall") == 2.0
 
     def test_served_logits_match_direct_forward_bitwise(self):
-        h = ServeHarness(policy=BatchPolicy(max_batch=4, max_delay=0.01))
+        h = ServeHarness(policy=BatchPolicy(max_batch=4))
         xs = [h.make_input("fall") for __ in range(3)]
         futures = [h.submit("fall", x) for x in xs]
-        h.advance(0.01)
+        h.run_due()
         direct = h.direct("fall", xs)
         for i, future in enumerate(futures):
             assert future.result().logits.tobytes() == direct[i].tobytes()
 
     def test_prediction_metadata(self):
-        h = ServeHarness(policy=BatchPolicy(max_batch=1, max_delay=0.0))
+        h = ServeHarness(policy=BatchPolicy(max_batch=1))
         result = h.submit("fall").result()
         assert result.tenant == "fall"
         assert result.pred == int(result.logits.argmax())
@@ -147,30 +155,30 @@ class TestBatchingWindows:
 class TestTenantIsolation:
     def test_lanes_batch_independently(self):
         """Filling one tenant's lane flushes it alone; the other
-        tenant's window keeps waiting."""
-        h = ServeHarness(policy=BatchPolicy(max_batch=2, max_delay=0.01))
+        tenant's lane waits for the turn to end."""
+        h = ServeHarness(policy=BatchPolicy(max_batch=2))
         slow = h.submit("hvac")
         fast = [h.submit("fall") for __ in range(2)]
         assert all(f.done() for f in fast)
         assert not slow.done()
-        h.advance(0.01)
+        h.run_due()
         assert slow.done()
         assert slow.result().batch_size == 1
 
     def test_fault_fallback_never_delays_the_other_tenant(self):
         """One tenant falling back to the event-driven oracle is
-        invisible to the other lane: same flush time, same plan
-        serving, exact latency."""
-        h = ServeHarness(policy=BatchPolicy(max_batch=8, max_delay=0.01))
+        invisible to the other lane: same turn, same plan serving,
+        zero latency."""
+        h = ServeHarness(policy=BatchPolicy(max_batch=8))
         fall = h.pool.require("fall")
         list(fall.topology)[4].alive = False  # forces the oracle
         assert fall.fault_state() == "node-down"
         faulted = h.submit("fall")
         healthy = h.submit("hvac")
-        h.advance(0.01)
+        assert h.run_due() == 2
         assert faulted.result().served_by == "fallback:node-down"
         assert healthy.result().served_by == "plan"
-        assert healthy.result().latency_s == 0.01
+        assert healthy.result().latency_s == 0.0
         assert h.metric(
             "serve.plan_fallbacks", tenant="fall", reason="node-down"
         ) == 1.0
@@ -181,7 +189,7 @@ class TestTenantIsolation:
         only compiling the plan finds the unroutable transfer; the
         health report must name the reason ``infer`` serves with, and
         asking must move no traffic."""
-        h = ServeHarness(policy=BatchPolicy(max_batch=8, max_delay=0.01))
+        h = ServeHarness(policy=BatchPolicy(max_batch=8))
         fall = h.pool.require("fall")
         node = list(fall.topology)[4]
         x, y = node.position
@@ -191,7 +199,7 @@ class TestTenantIsolation:
         assert fall.describe()["fault"] == "unroutable"
         assert fall.network.stats.sent == sent
         served = h.submit("fall")
-        h.advance(0.01)
+        h.run_due()
         assert served.result().served_by == "fallback:unroutable"
         node.position = (x, y)
         assert fall.fault_state() is None
@@ -199,17 +207,17 @@ class TestTenantIsolation:
     def test_fallback_accounts_traffic_for_real_requests_only(self):
         """The oracle replay accounts exactly the flushed request
         count — pad rows never inflate the network counters."""
-        h = ServeHarness(policy=BatchPolicy(max_batch=8, max_delay=0.01))
+        h = ServeHarness(policy=BatchPolicy(max_batch=8))
         fall = h.pool.require("fall")
         list(fall.topology)[4].alive = False
         baseline = fall.network.stats.sent
         h.submit("fall")
-        h.advance(0.01)
+        h.run_due()
         sent_one = fall.network.stats.sent - baseline
         assert sent_one > 0
         for __ in range(3):
             h.submit("fall")
-        h.advance(0.01)
+        h.run_due()
         assert fall.network.stats.sent - baseline == 4 * sent_one
 
 
@@ -217,32 +225,32 @@ class TestHotSwap:
     def test_swap_lands_before_flush_serves_from_new_tenant(self):
         """The dispatcher resolves the tenant at flush time, so a
         queued request is served by the tenant installed when the
-        window closes."""
-        h = ServeHarness(policy=BatchPolicy(max_batch=8, max_delay=0.01))
+        lane flushes."""
+        h = ServeHarness(policy=BatchPolicy(max_batch=8))
         x = h.make_input("fall")
         future = h.submit("fall", x)
         replacement = h.build_tenant("fall", seed=9)
         h.pool.swap(replacement)
-        h.advance(0.01)
+        h.run_due()
         expected = replacement.direct_forward(x[np.newaxis])[0]
         assert future.result().logits.tobytes() == expected.tobytes()
 
     def test_swap_to_other_shape_fails_queued_requests_individually(self):
-        h = ServeHarness(policy=BatchPolicy(max_batch=8, max_delay=0.01))
+        h = ServeHarness(policy=BatchPolicy(max_batch=8))
         future = h.submit("fall")
         swapped = h.build_tenant("hvac", name="fall")  # (1,10,10) now
         h.pool.swap(swapped)
         ok = h.submit("fall", np.zeros(swapped.input_shape))
-        h.advance(0.01)
+        h.run_due()
         with pytest.raises(ValueError, match="swapped"):
             future.result()
         assert ok.result().logits.shape == (2,)
 
     def test_removed_tenant_fails_queued_requests(self):
-        h = ServeHarness(policy=BatchPolicy(max_batch=8, max_delay=0.01))
+        h = ServeHarness(policy=BatchPolicy(max_batch=8))
         future = h.submit("fall")
         h.pool.remove("fall")
-        h.advance(0.01)
+        h.run_due()
         with pytest.raises(UnknownTenant):
             future.result()
 
@@ -260,7 +268,7 @@ class TestHotSwap:
 class TestBackpressureAndDrain:
     def test_overloaded_lane_rejects_with_503_semantics(self):
         h = ServeHarness(
-            policy=BatchPolicy(max_batch=99, max_delay=1.0, max_pending=2)
+            policy=BatchPolicy(max_batch=99, max_pending=2)
         )
         h.submit("fall")
         h.submit("fall")
@@ -273,15 +281,17 @@ class TestBackpressureAndDrain:
         assert not h.submit("hvac").done()
 
     def test_drain_serves_everything_in_flight(self):
-        """Shutdown flushes every lane's pending window; accepted work
-        is never dropped."""
-        h = ServeHarness(policy=BatchPolicy(max_batch=8, max_delay=10.0))
+        """Shutdown flushes every lane whose turn is still scheduled
+        and cancels those turns; accepted work is never dropped."""
+        h = ServeHarness(policy=BatchPolicy(max_batch=8))
         futures = [h.submit("fall") for __ in range(3)]
         futures.append(h.submit("hvac"))
         assert not any(f.done() for f in futures)
+        assert h.clock.scheduled() == 2
         h.drain()
         assert all(f.done() for f in futures)
         assert all(f.result().logits.shape == (2,) for f in futures)
+        assert h.clock.scheduled() == 0
 
     def test_drained_dispatcher_refuses_new_work(self):
         h = ServeHarness()
@@ -300,7 +310,7 @@ class TestMetricsInvariants:
         """The pinned invariant: every request is observed in exactly
         one batch, so ``serve.requests`` equals the total observation
         mass of the ``serve.batch_size`` histogram."""
-        h = ServeHarness(policy=BatchPolicy(max_batch=3, max_delay=0.01))
+        h = ServeHarness(policy=BatchPolicy(max_batch=3))
         for __ in range(7):
             h.submit("fall")
         for __ in range(2):
@@ -313,9 +323,11 @@ class TestMetricsInvariants:
         assert h.metric("serve.batches", tenant="hvac") == 1.0
 
     def test_tenant_served_counter_tracks_requests(self):
-        h = ServeHarness(policy=BatchPolicy(max_batch=2, max_delay=0.0))
+        h = ServeHarness(policy=BatchPolicy(max_batch=2))
         for __ in range(3):
             h.submit("fall")
+        assert h.pool.require("fall").served == 2  # one early flush
+        h.run_due()
         assert h.pool.require("fall").served == 3
 
 

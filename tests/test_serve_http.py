@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 from repro.serve import (
+    MAX_BODY_BYTES,
     BatchPolicy,
+    LoopClock,
     ServeApp,
     TenantConfig,
     build_tenant,
@@ -30,10 +32,19 @@ def run(coro):
     return asyncio.run(coro)
 
 
-def make_app(max_batch=4, max_delay=0.002, max_pending=64):
+class HeldTurnClock(LoopClock):
+    """The loop clock with every timer 50 ms late: a lane's next-turn
+    flush waits long enough for concurrent requests to pile up in it
+    (what the backpressure test needs)."""
+
+    def call_later(self, delay, callback):
+        return super().call_later(delay + 0.05, callback)
+
+
+def make_app(max_batch=4, max_pending=64, clock=None):
     app = ServeApp(BatchPolicy(
-        max_batch=max_batch, max_delay=max_delay, max_pending=max_pending,
-    ))
+        max_batch=max_batch, max_pending=max_pending,
+    ), clock=clock)
     for name in ("fall", "hvac"):
         app.add_tenant(TenantConfig(
             name=name, scenario=name, seed=SEED, train_epochs=0,
@@ -181,7 +192,7 @@ class TestMetricsReconciliation:
             assert health["status"] == "ok"
             assert sorted(health["tenants"]) == ["fall", "hvac"]
             assert health["tenants"]["fall"]["fault"] is None
-            assert health["policy"]["max_batch"] == 4
+            assert health["policy"] == {"max_batch": 4, "max_pending": 64}
             x = np.zeros((1, 8, 8))
             await client.post_json(
                 "/v1/recognize", {"tenant": "fall", "input": x.tolist()}
@@ -289,6 +300,135 @@ class TestErrorPaths:
         run(with_app(test))
 
 
+async def exchange(port: int, data: bytes, timeout: float = 10.0):
+    """Send raw bytes on a fresh connection and read until the server
+    closes it (a server still waiting after ``timeout`` s fails the
+    test); returns ``(status, headers, body)`` with ``status`` None
+    when the server closed without a status line."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    chunks = []
+
+    async def send_and_read_all():
+        writer.write(data)
+        try:
+            await writer.drain()
+        except ConnectionResetError:
+            pass  # answered and closed before reading it all; read on
+        while True:
+            chunk = await reader.read(65536)
+            if not chunk:
+                return
+            chunks.append(chunk)
+
+    try:
+        await asyncio.wait_for(send_and_read_all(), timeout)
+    except ConnectionResetError:
+        pass  # the server closed with request bytes still unread
+    writer.close()
+    raw = b"".join(chunks)
+    if not raw.startswith(b"HTTP/1.1 "):
+        return None, {}, raw
+    head, __, body = raw.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in lines[1:]:
+        name, __, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return int(lines[0].split()[1]), headers, body
+
+
+class TestParserErrors:
+    """Input the parser cannot frame is answered with a typed 400 and
+    ``Connection: close`` — never an empty close — and the server
+    keeps serving other connections."""
+
+    def check_400(self, data: bytes, error: str):
+        async def test(app, client):
+            loop_errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context)
+            )
+            status, headers, body = await exchange(app.port, data)
+            assert status == 400, body
+            assert headers["connection"] == "close"
+            assert headers["content-type"] == "application/json"
+            assert json.loads(body)["error"] == error
+            assert (await client.get_json("/healthz"))[0] == 200
+            assert loop_errors == []
+
+        run(with_app(test))
+
+    def test_malformed_request_line(self):
+        self.check_400(b"GARBAGE\r\n\r\n", "malformed-request-line")
+
+    def test_unsplittable_request_target(self):
+        """``urlsplit`` raises on an unterminated IPv6 host."""
+        self.check_400(b"GET //[ HTTP/1.1\r\n\r\n", "malformed-request-line")
+
+    def test_content_length_over_the_body_limit(self):
+        self.check_400(
+            b"POST /v1/recognize HTTP/1.1\r\n"
+            b"Content-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1),
+            "body-too-large",
+        )
+
+    def test_huge_content_length_digit_string(self):
+        """Past Python's int-string digit limit, ``int()`` itself
+        raises; the parser rejects by length first."""
+        self.check_400(
+            b"POST /v1/recognize HTTP/1.1\r\nContent-Length: "
+            + b"9" * 5000 + b"\r\n\r\n",
+            "body-too-large",
+        )
+
+    @pytest.mark.parametrize("value", [
+        b"abc", b"-5", b"+5", b"1_0", b"0x10", b"\xb2",
+    ])
+    def test_content_length_not_ascii_digits(self, value):
+        self.check_400(
+            b"POST /v1/recognize HTTP/1.1\r\nContent-Length: "
+            + value + b"\r\n\r\n{}",
+            "bad-content-length",
+        )
+
+    def test_request_line_over_the_reader_limit(self):
+        self.check_400(
+            b"GET /" + b"a" * (70 * 1024) + b" HTTP/1.1\r\n\r\n",
+            "line-too-long",
+        )
+
+    def test_header_line_over_the_reader_limit(self):
+        self.check_400(
+            b"GET /healthz HTTP/1.1\r\nX-Big: " + b"b" * (70 * 1024)
+            + b"\r\n\r\n",
+            "line-too-long",
+        )
+
+    @pytest.mark.parametrize("body, error", [
+        # An integer literal past Python's digit limit (ValueError).
+        (b'{"tenant": "fall", "input": ' + b"1" * 5000 + b"}",
+         "malformed-json"),
+        # Nesting past the recursion limit (RecursionError).
+        (b'{"tenant": "fall", "input": ' + b"[" * 100000 + b"}",
+         "malformed-json"),
+        # An integer too large for a float64 (OverflowError).
+        (b'{"tenant": "fall", "input": [' + b"9" * 400 + b"]}",
+         "malformed-input"),
+    ])
+    def test_unparseable_recognize_body(self, body, error):
+        """A framed request whose JSON or numbers cannot be decoded is
+        a 400 on a connection that stays open."""
+        async def test(app, client):
+            status, __, raw = await client.request(
+                "POST", "/v1/recognize", body
+            )
+            assert status == 400
+            assert json.loads(raw)["error"] == error
+            assert (await client.get_json("/healthz"))[0] == 200
+
+        run(with_app(test))
+
+
 class TestHotSwapEndpoint:
     def test_live_swap_changes_served_bytes(self):
         """POST /v1/tenants installs a new tenant under the name; the
@@ -335,9 +475,38 @@ class TestHotSwapEndpoint:
         run(with_app(test))
 
 
+    @pytest.mark.parametrize("payload, field", [
+        ({"name": 5, "scenario": "fall"}, "name"),
+        ({"name": "x", "scenario": ["fall"]}, "scenario"),
+        ({"name": "x", "scenario": "fall", "seed": -1}, "seed"),
+        ({"name": "x", "scenario": "fall", "seed": True}, "seed"),
+        ({"name": "x", "scenario": "fall", "seed": 1.5}, "seed"),
+        ({"name": "x", "scenario": "fall", "seed": "3"}, "seed"),
+        ({"name": "x", "scenario": "fall", "train_epochs": [1]},
+         "train_epochs"),
+        ({"name": "x", "scenario": "fall", "train_samples": None},
+         "train_samples"),
+    ])
+    def test_bad_config_is_a_400_naming_the_field(self, payload, field):
+        """A rejected config installs nothing, and ``/healthz`` and
+        ``/v1/tenants`` keep answering afterwards."""
+        async def test(app, client):
+            status, body = await client.post_json("/v1/tenants", payload)
+            assert status == 400
+            assert body["error"] == "bad-tenant-config"
+            assert field in body["detail"]
+            status, health = await client.get_json("/healthz")
+            assert status == 200
+            assert sorted(health["tenants"]) == ["fall", "hvac"]
+            status, listing = await client.get_json("/v1/tenants")
+            assert status == 200
+            assert sorted(listing) == ["fall", "hvac"]
+
+        run(with_app(test))
+
 class TestBackpressureOverHttp:
     def test_full_lane_yields_503(self):
-        """With a tiny lane bound and a long window, concurrent
+        """With a tiny lane bound and a held flush, concurrent
         requests beyond max_pending are rejected as 503 — and the
         accepted ones still complete."""
         rng = np.random.default_rng(5)
@@ -353,7 +522,7 @@ class TestBackpressureOverHttp:
             return report
 
         report = run(with_app(
-            test, max_batch=64, max_delay=0.05, max_pending=2,
+            test, max_batch=64, max_pending=2, clock=HeldTurnClock(),
         ))
         assert 503 in report.statuses
         assert 200 in report.statuses

@@ -1,7 +1,8 @@
 """Property test: serving is interleaving-invariant.
 
 For any seeded interleaving of N concurrent requests — random tenant
-choice, random clock advances between submits, random batching knobs —
+choice, loop turns and clock advances at random points between
+submits, random ``max_batch`` —
 the multiset of returned logits equals the serial baseline (a direct
 fixed-shape forward of the same inputs), and the accounting invariant
 ``serve.requests == sum of serve.batch_size histogram mass`` holds.
@@ -19,38 +20,65 @@ TENANTS = ("fall", "hvac")
 
 
 def random_policy(rng) -> BatchPolicy:
-    return BatchPolicy(
-        max_batch=int(rng.integers(1, 6)),
-        # Include the synchronous fast path (max_delay=0) in the space.
-        max_delay=float(rng.choice([0.0, 0.001, 0.005, 0.02])),
-        max_pending=256,
-    )
+    # max_batch=1 (every submit flushes inside itself) is in the space.
+    return BatchPolicy(max_batch=int(rng.integers(1, 6)), max_pending=256)
 
 
 def run_interleaving(seed: int, n_requests: int = 24):
-    """One seeded schedule: returns (harness, submitted, futures)."""
+    """One seeded schedule: returns (harness, submitted, futures,
+    expected batch size of each request).
+
+    The expected sizes come from a model of the dispatcher: a
+    tenant's open batch closes when it reaches ``max_batch`` or when
+    the loop turn ends (``run_due``, an ``advance``, or the drain).
+    """
     rng = np.random.default_rng(seed)
-    harness = ServeHarness(tenants=TENANTS, policy=random_policy(rng))
+    policy = random_policy(rng)
+    harness = ServeHarness(tenants=TENANTS, policy=policy)
     submitted = {name: [] for name in TENANTS}
     futures = []
-    for __ in range(n_requests):
+    expected = []
+    open_batch = {name: [] for name in TENANTS}
+
+    def close(name):
+        for i in open_batch[name]:
+            expected[i] = len(open_batch[name])
+        open_batch[name] = []
+
+    for i in range(n_requests):
         name = TENANTS[int(rng.integers(len(TENANTS)))]
         x = harness.make_input(name)
         submitted[name].append(x)
         futures.append((name, harness.submit(name, x)))
-        # Sometimes let time pass (maybe past the window), sometimes
-        # submit back-to-back within the same instant.
-        if rng.random() < 0.5:
+        expected.append(None)
+        open_batch[name].append(i)
+        if len(open_batch[name]) == policy.max_batch:
+            close(name)
+        # Sometimes end the loop turn, sometimes let time pass (which
+        # runs the due turn first), sometimes submit back-to-back
+        # within the same turn.
+        u = rng.random()
+        if u < 0.3:
+            harness.run_due()
+        elif u < 0.5:
             harness.advance(float(rng.choice([0.0005, 0.002, 0.01, 0.05])))
+        if u < 0.5:
+            for tenant in TENANTS:
+                close(tenant)
     harness.drain()  # serve whatever is still pending
-    return harness, submitted, futures
+    for tenant in TENANTS:
+        close(tenant)
+    return harness, submitted, futures, expected
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_any_interleaving_matches_the_serial_baseline(seed):
-    harness, submitted, futures = run_interleaving(seed)
-    # Every accepted request resolved with a result.
+    harness, submitted, futures, expected = run_interleaving(seed)
+    # Every accepted request resolved with a result, in the batch the
+    # next-turn model predicts: same-turn submits share one batch.
     assert all(future.done() for __, future in futures)
+    assert [f.result().batch_size for __, f in futures] == expected
+    assert all(f.result().latency_s == 0.0 for __, f in futures)
 
     # Multiset of served logits == multiset of the serial baseline.
     served = {name: [] for name in TENANTS}
@@ -92,7 +120,7 @@ def test_fault_interleaving_keeps_the_multiset_property():
     the event-driven oracle return the same bytes as the plan path
     (same math, different traffic accounting)."""
     harness = ServeHarness(
-        tenants=TENANTS, policy=BatchPolicy(max_batch=3, max_delay=0.01)
+        tenants=TENANTS, policy=BatchPolicy(max_batch=3)
     )
     rng = np.random.default_rng(42)
     submitted = {name: [] for name in TENANTS}
@@ -108,7 +136,7 @@ def test_fault_interleaving_keeps_the_multiset_property():
         submitted[name].append(x)
         futures.append((name, harness.submit(name, x)))
         if rng.random() < 0.4:
-            harness.advance(0.01)
+            harness.run_due()
     harness.drain()
     served_by = {future.result().served_by for __, future in futures}
     assert "plan" in served_by  # both paths were actually exercised
