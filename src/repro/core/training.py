@@ -5,6 +5,11 @@ distributed fashion ... Weights of units are updated independently by
 each sensor node to avoid communication overhead, sacrificing some
 accuracy."*
 
+:class:`MicroDeepTrainer` is :class:`repro.nn.Trainer` with a
+distributed backward: it overrides :meth:`~repro.nn.Trainer._backward`
+and inherits the one mini-batch loop (``fit``/``evaluate``, the
+``train.*`` telemetry and the per-epoch recorder tick).
+
 Two update modes:
 
 - ``"exact"`` — full backpropagation: mathematically identical to the
@@ -38,7 +43,7 @@ owner arrays against the layer's hosting nodes (ascending):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -47,7 +52,7 @@ from repro.core.placement_index import PlacementIndex
 from repro.core.unitgraph import LayerUnits, UnitGraph
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.optimizers import Optimizer
-from repro.nn.training import TrainingHistory
+from repro.nn.training import Trainer
 
 
 class _StackedMasks:
@@ -76,7 +81,7 @@ class _StackedMasks:
         self.nodes: List[int] = owners.nodes.tolist()
 
 
-class MicroDeepTrainer:
+class MicroDeepTrainer(Trainer):
     """Trains a placed CNN with distributed backpropagation.
 
     Args:
@@ -93,9 +98,11 @@ class MicroDeepTrainer:
             updates (exact backprop has no per-node structure to
             degrade).
         backward_impl: ``"vectorized"`` (default) or ``"reference"``
-            — which ``"local"`` backward implementation :meth:`fit`
-            uses (see module docstring; the reference loop is retained
-            as the parity oracle and for benchmarking).
+            — which ``"local"`` backward implementation training uses
+            (see module docstring; the reference loop is retained as
+            the parity oracle and for benchmarking).
+        telemetry: as for :class:`repro.nn.Trainer`; the backward adds
+            an ``exec.backward`` span inside each ``train.step``.
     """
 
     def __init__(
@@ -122,12 +129,10 @@ class MicroDeepTrainer:
             raise ValueError(
                 "fault-aware training requires update_mode='local'"
             )
+        super().__init__(graph.model, optimizer, loss, telemetry)
         self.graph = graph
-        self.model = graph.model
         self.placement = placement
-        self.optimizer = optimizer
         self.update_mode = update_mode
-        self.loss = loss if loss is not None else CrossEntropyLoss()
         self.fault_adapter = fault_adapter
         self.backward_impl = backward_impl
         # Placement is frozen for the trainer's lifetime, so the mask
@@ -140,42 +145,28 @@ class MicroDeepTrainer:
                 for entry in graph.layers
                 if entry.kind != "flatten" and not entry.layer.is_elementwise
             }
-        if telemetry is None:
-            from repro.obs.runtime import current
-
-            telemetry = current()
-        self._telemetry = telemetry
 
     # -- backward ------------------------------------------------------------
     def _backward(self, grad: np.ndarray) -> None:
-        """Backpropagate through the model in the selected mode."""
+        """Backpropagate through the model in the selected mode (the
+        one step of :meth:`repro.nn.Trainer.fit` this class changes)."""
+        if self.update_mode == "exact":
+            impl, run = "exact", super()._backward
+        elif self.backward_impl == "reference":
+            impl, run = "reference", self._backward_reference
+        else:
+            impl, run = "vectorized", self._backward_vectorized
         tel = self._telemetry
         if not tel.enabled:
-            self._backward_dispatch(grad)
-            return
-        impl = (
-            "exact" if self.update_mode == "exact" else self.backward_impl
-        )
+            return run(grad)
         with tel.tracer.span(
             "exec.backward", batch=int(grad.shape[0]), impl=impl
         ):
-            self._backward_dispatch(grad)
-
-    def _backward_dispatch(self, grad: np.ndarray) -> None:
-        if self.update_mode == "exact":
-            self.model.backward(grad)
-        elif self.backward_impl == "reference":
-            self._backward_reference(grad)
-        else:
-            self._backward_vectorized(grad)
+            run(grad)
 
     def _backward_vectorized(self, grad: np.ndarray) -> None:
         """The batched ``"local"`` backward (see module docstring)."""
-        down = (
-            self.fault_adapter.down_nodes()
-            if self.fault_adapter is not None
-            else None
-        )
+        down = self.fault_adapter.down_nodes() if self.fault_adapter else None
         for entry in reversed(self.graph.layers):
             grad = self._layer_backward_batched(entry, grad, down)
 
@@ -224,11 +215,7 @@ class MicroDeepTrainer:
         """The retained per-node ``"local"`` loop — parity oracle for
         the vectorized path (one full ``layer.backward`` per row of the
         layer's mask stack)."""
-        down = (
-            self.fault_adapter.down_nodes()
-            if self.fault_adapter is not None
-            else None
-        )
+        down = self.fault_adapter.down_nodes() if self.fault_adapter else None
         for entry in reversed(self.graph.layers):
             layer = entry.layer
             if entry.kind == "flatten" or layer.is_elementwise:
@@ -250,117 +237,3 @@ class MicroDeepTrainer:
                 # further back, but the pass still completes.
                 total = layer.backward(grad * 0.0)
             grad = total
-
-    # -- training loop ---------------------------------------------------------
-    def _train_step(self, xb: np.ndarray, yb: np.ndarray) -> Tuple[float, int]:
-        """One mini-batch update; returns ``(batch_loss, n_correct)``."""
-        self.model.zero_grads()
-        logits = self.model.forward(xb, training=True)
-        batch_loss = self.loss.forward(logits, yb)
-        self._backward(self.loss.backward())
-        self.optimizer.step(self.model.param_slots())
-        return batch_loss, int((logits.argmax(axis=-1) == yb).sum())
-
-    def fit(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        epochs: int,
-        batch_size: int,
-        rng: np.random.Generator,
-        x_val: Optional[np.ndarray] = None,
-        y_val: Optional[np.ndarray] = None,
-        patience: Optional[int] = None,
-        recorder=None,
-    ) -> TrainingHistory:
-        """Mini-batch training; mirrors :class:`repro.nn.Trainer.fit`
-        but with the distributed backward pass.
-
-        ``recorder`` (an enabled :class:`repro.obs.FlightRecorder`) is
-        sampled once per epoch, after the epoch metrics land — with
-        the recorder's default index clock each timeline tick is one
-        epoch, which is what the watchdog's ``train.loss`` drift
-        rules evaluate against.
-
-        Raises:
-            ValueError: if ``x`` is empty — an empty dataset would
-                otherwise surface as a ``ZeroDivisionError`` deep in
-                the epoch averaging.
-        """
-        if x.shape[0] == 0:
-            raise ValueError(
-                "cannot fit on an empty dataset (x has 0 samples)"
-            )
-        history = TrainingHistory()
-        n = x.shape[0]
-        tel = self._telemetry
-        best_acc = -np.inf
-        best_weights = None
-        stale = 0
-        for epoch in range(epochs):
-            order = rng.permutation(n)
-            epoch_loss = 0.0
-            correct = 0
-            for step, start in enumerate(range(0, n, batch_size)):
-                idx = order[start : start + batch_size]
-                xb, yb = x[idx], y[idx]
-                if tel.enabled:
-                    with tel.tracer.span(
-                        "train.step", epoch=epoch, step=step,
-                        batch=int(len(idx)),
-                    ):
-                        batch_loss, batch_correct = self._train_step(xb, yb)
-                    tel.metrics.counter("train.steps").inc()
-                    tel.metrics.counter("train.examples").inc(float(len(idx)))
-                    tel.metrics.gauge("train.loss").set(float(batch_loss))
-                else:
-                    batch_loss, batch_correct = self._train_step(xb, yb)
-                epoch_loss += batch_loss * len(idx)
-                correct += batch_correct
-            history.train_loss.append(epoch_loss / n)
-            history.train_accuracy.append(correct / n)
-            if tel.enabled:
-                tel.metrics.counter("train.epochs").inc()
-                tel.metrics.gauge("train.epoch_loss").set(epoch_loss / n)
-                tel.metrics.gauge("train.epoch_accuracy").set(correct / n)
-            if x_val is not None and y_val is not None:
-                val_loss, val_acc = self.evaluate(x_val, y_val)
-                history.val_loss.append(val_loss)
-                history.val_accuracy.append(val_acc)
-                if val_acc > best_acc:
-                    best_acc = val_acc
-                    best_weights = self.model.get_weights()
-                    stale = 0
-                else:
-                    stale += 1
-                if recorder is not None:
-                    recorder.sample()
-                if patience is not None and stale >= patience:
-                    break
-            elif recorder is not None:
-                recorder.sample()
-        if best_weights is not None:
-            self.model.set_weights(best_weights)
-        return history
-
-    def evaluate(self, x: np.ndarray, y: np.ndarray, batch_size: int = 256):
-        """``(mean_loss, accuracy)`` on the given data.
-
-        Raises:
-            ValueError: if ``x`` is empty — there is no mean loss or
-                accuracy of zero samples.
-        """
-        n = x.shape[0]
-        if n == 0:
-            raise ValueError(
-                "cannot evaluate on an empty dataset (x has 0 samples)"
-            )
-        total_loss = 0.0
-        correct = 0
-        for start in range(0, n, batch_size):
-            xb = x[start : start + batch_size]
-            yb = y[start : start + batch_size]
-            logits = self.model.forward(xb, training=False)
-            total_loss += self.loss.forward(logits, yb) * len(xb)
-            correct += int((logits.argmax(axis=-1) == yb).sum())
-        return total_loss / n, correct / n

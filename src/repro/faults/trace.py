@@ -18,25 +18,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List
 
 
-def _canonical(value):
-    """Coerce a detail value into a JSON-stable python type."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int,)):
-        return int(value)
-    if isinstance(value, float):
-        return float(value)
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _canonical(v) for k, v in value.items()}
-    if value is None or isinstance(value, str):
-        return value
-    if hasattr(value, "item"):  # numpy scalar
-        return _canonical(value.item())
-    return str(value)
-
-
 @dataclass(frozen=True)
 class TraceRecord:
     """One timestamped fault or degradation event.
@@ -64,6 +45,11 @@ class FaultTrace:
     """Append-only, deterministically serializable event log."""
 
     def __init__(self) -> None:
+        # The tracer's canonicalizer, bound lazily (no module outside
+        # repro.obs imports it at module scope).
+        from repro.obs.trace import canonical_value
+
+        self._canonical = canonical_value
         self._records: List[TraceRecord] = []
 
     def __len__(self) -> int:
@@ -81,10 +67,11 @@ class FaultTrace:
 
     def record(self, time: float, kind: str, **detail) -> TraceRecord:
         """Append one record; detail values are canonicalized."""
+        canonical = self._canonical
         rec = TraceRecord(
             time=float(time),
             kind=str(kind),
-            detail={k: _canonical(v) for k, v in sorted(detail.items())},
+            detail={k: canonical(v) for k, v in sorted(detail.items())},
         )
         self._records.append(rec)
         return rec

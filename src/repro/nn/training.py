@@ -1,9 +1,16 @@
-"""Mini-batch training loop."""
+"""Mini-batch training loop.
+
+:class:`Trainer` owns the one loop: shuffling, mini-batches,
+validation with patience and best-weight restore, and the training
+telemetry.  A subclass changes how the loss gradient flows back by
+overriding :meth:`Trainer._backward` —
+:class:`repro.core.MicroDeepTrainer` backpropagates per sensor node.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -33,10 +40,18 @@ class TrainingHistory:
 class Trainer:
     """Trains a :class:`Sequential` classifier with mini-batch SGD.
 
+    Under a telemetry session every mini-batch runs in a ``train.step``
+    span and advances the ``train.steps``/``train.examples`` counters
+    and the ``train.loss`` gauge; every epoch advances
+    ``train.epochs`` and the ``train.epoch_loss``/
+    ``train.epoch_accuracy`` gauges.  The null backend records nothing.
+
     Args:
         model: a built (or to-be-built) Sequential model.
         optimizer: parameter-update rule.
         loss: loss object; defaults to softmax cross-entropy.
+        telemetry: backend for the spans and metrics; defaults to the
+            installed session (:func:`repro.obs.runtime.current`).
     """
 
     def __init__(
@@ -44,10 +59,29 @@ class Trainer:
         model: Sequential,
         optimizer: Optimizer,
         loss: Optional[CrossEntropyLoss] = None,
+        telemetry=None,
     ) -> None:
         self.model = model
         self.optimizer = optimizer
         self.loss = loss if loss is not None else CrossEntropyLoss()
+        if telemetry is None:
+            from repro.obs.runtime import current
+
+            telemetry = current()
+        self._telemetry = telemetry
+
+    def _backward(self, grad: np.ndarray) -> None:
+        """Backpropagate the loss gradient ``grad`` through the model."""
+        self.model.backward(grad)
+
+    def _train_step(self, xb: np.ndarray, yb: np.ndarray) -> Tuple[float, int]:
+        """One mini-batch update; returns ``(batch_loss, n_correct)``."""
+        self.model.zero_grads()
+        logits = self.model.forward(xb, training=True)
+        batch_loss = self.loss.forward(logits, yb)
+        self._backward(self.loss.backward())
+        self.optimizer.step(self.model.param_slots())
+        return batch_loss, int((logits.argmax(axis=-1) == yb).sum())
 
     def fit(
         self,
@@ -59,13 +93,19 @@ class Trainer:
         x_val: Optional[np.ndarray] = None,
         y_val: Optional[np.ndarray] = None,
         patience: Optional[int] = None,
-        verbose: bool = False,
+        recorder=None,
     ) -> TrainingHistory:
         """Train and return the per-epoch history.
 
         With ``patience`` set and validation data supplied, training
         stops after that many epochs without a validation-accuracy
         improvement and the best weights are restored.
+
+        ``recorder`` (an enabled :class:`repro.obs.FlightRecorder`) is
+        sampled once per epoch, after the epoch metrics land — with
+        the recorder's default index clock each timeline tick is one
+        epoch, which is what the watchdog's ``train.loss`` drift
+        rules evaluate against.
 
         Raises:
             ValueError: if ``x`` is empty — an empty dataset would
@@ -80,6 +120,8 @@ class Trainer:
             self.model.build(x.shape[1:], rng)
         history = TrainingHistory()
         n = x.shape[0]
+        tel = self._telemetry
+        validate = x_val is not None and y_val is not None
         best_acc = -np.inf
         best_weights = None
         stale = 0
@@ -87,19 +129,29 @@ class Trainer:
             order = rng.permutation(n)
             epoch_loss = 0.0
             correct = 0
-            for start in range(0, n, batch_size):
+            for step, start in enumerate(range(0, n, batch_size)):
                 idx = order[start : start + batch_size]
                 xb, yb = x[idx], y[idx]
-                self.model.zero_grads()
-                logits = self.model.forward(xb, training=True)
-                batch_loss = self.loss.forward(logits, yb)
-                self.model.backward(self.loss.backward())
-                self.optimizer.step(self.model.param_slots())
+                if tel.enabled:
+                    with tel.tracer.span(
+                        "train.step", epoch=epoch, step=step,
+                        batch=int(len(idx)),
+                    ):
+                        batch_loss, batch_correct = self._train_step(xb, yb)
+                    tel.metrics.counter("train.steps").inc()
+                    tel.metrics.counter("train.examples").inc(float(len(idx)))
+                    tel.metrics.gauge("train.loss").set(float(batch_loss))
+                else:
+                    batch_loss, batch_correct = self._train_step(xb, yb)
                 epoch_loss += batch_loss * len(idx)
-                correct += int((logits.argmax(axis=-1) == yb).sum())
+                correct += batch_correct
             history.train_loss.append(epoch_loss / n)
             history.train_accuracy.append(correct / n)
-            if x_val is not None and y_val is not None:
+            if tel.enabled:
+                tel.metrics.counter("train.epochs").inc()
+                tel.metrics.gauge("train.epoch_loss").set(epoch_loss / n)
+                tel.metrics.gauge("train.epoch_accuracy").set(correct / n)
+            if validate:
                 val_loss, val_acc = self.evaluate(x_val, y_val)
                 history.val_loss.append(val_loss)
                 history.val_accuracy.append(val_acc)
@@ -109,17 +161,10 @@ class Trainer:
                     stale = 0
                 else:
                     stale += 1
-                if patience is not None and stale >= patience:
-                    break
-            if verbose:  # pragma: no cover - console output
-                msg = (
-                    f"epoch {epoch + 1}/{epochs} "
-                    f"loss={history.train_loss[-1]:.4f} "
-                    f"acc={history.train_accuracy[-1]:.4f}"
-                )
-                if history.val_accuracy:
-                    msg += f" val_acc={history.val_accuracy[-1]:.4f}"
-                print(msg)
+            if recorder is not None:
+                recorder.sample()
+            if validate and patience is not None and stale >= patience:
+                break
         if best_weights is not None:
             self.model.set_weights(best_weights)
         return history

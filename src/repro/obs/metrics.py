@@ -228,6 +228,9 @@ class MetricsRegistry:
         #: or in :attr:`_series`, never in both.
         self._families: Dict[str, CounterFamily] = {}
         self._collectors: List[Callable[["MetricsRegistry"], None]] = []
+        #: bumped by :meth:`clear`: a collector that pushes deltas
+        #: republishes its full totals into a new generation.
+        self.generation = 0
 
     def __len__(self) -> int:
         return len(self._series) + sum(map(len, self._families.values()))
@@ -359,9 +362,11 @@ class MetricsRegistry:
         return out
 
     def clear(self) -> None:
-        """Drop every series (collectors stay registered)."""
+        """Drop every series (collectors stay registered) and start a
+        new :attr:`generation`."""
         self._series = {}
         self._families = {}
+        self.generation += 1
 
     # -- mergeable snapshots ------------------------------------------------
     def snapshot(self) -> List[List]:

@@ -58,6 +58,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -72,6 +74,16 @@ OPS = {
 
 KINDS = ("threshold", "rate", "absence", "trend", "quantile")
 SEVERITIES = ("warning", "critical")
+
+
+def _finite_real(value) -> bool:
+    """A real number, never a bool, that converts to a finite float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -89,34 +101,35 @@ class Rule:
     quantile: float = 0.99
 
     def __post_init__(self) -> None:
-        if not self.name:
+        if not isinstance(self.name, str) or not self.name:
             raise ValueError("rule needs a non-empty name")
-        if not self.series:
+        if not isinstance(self.series, str) or not self.series:
             raise ValueError(f"rule {self.name!r} needs a series")
-        if self.kind not in KINDS:
+        for field_name, allowed in (
+            ("kind", KINDS), ("op", tuple(OPS)), ("severity", SEVERITIES)
+        ):
+            value = getattr(self, field_name)
+            if value not in allowed:
+                raise ValueError(
+                    f"rule {self.name!r}: unknown {field_name} {value!r} "
+                    f"(expected one of {', '.join(allowed)})"
+                )
+        if (isinstance(self.windows, bool)
+                or not isinstance(self.windows, numbers.Integral)
+                or self.windows < 1):
             raise ValueError(
-                f"rule {self.name!r}: unknown kind {self.kind!r} "
-                f"(expected one of {', '.join(KINDS)})"
+                f"rule {self.name!r}: windows must be an integer >= 1, "
+                f"got {self.windows!r}"
             )
-        if self.op not in OPS:
+        if not _finite_real(self.value):
             raise ValueError(
-                f"rule {self.name!r}: unknown op {self.op!r} "
-                f"(expected one of {', '.join(OPS)})"
+                f"rule {self.name!r}: value must be a finite number, "
+                f"got {self.value!r}"
             )
-        if self.severity not in SEVERITIES:
-            raise ValueError(
-                f"rule {self.name!r}: unknown severity {self.severity!r} "
-                f"(expected one of {', '.join(SEVERITIES)})"
-            )
-        if self.windows < 1:
-            raise ValueError(
-                f"rule {self.name!r}: windows must be >= 1, "
-                f"got {self.windows}"
-            )
-        if not 0.0 <= self.quantile <= 1.0:
+        if not (_finite_real(self.quantile) and 0.0 <= self.quantile <= 1.0):
             raise ValueError(
                 f"rule {self.name!r}: quantile must be in [0, 1], "
-                f"got {self.quantile}"
+                f"got {self.quantile!r}"
             )
 
     def matches(self, point) -> bool:
@@ -335,7 +348,7 @@ def load_rules(path) -> List[Rule]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"invalid rule file {path}: {exc}") from exc
     return parse_rules(obj)
 

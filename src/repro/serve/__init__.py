@@ -42,6 +42,7 @@ from repro.serve.http import (
 )
 from repro.serve.loadgen import HttpClient, LoadReport, run_load
 from repro.serve.tenants import (
+    MAX_TRAIN_EXAMPLE_EPOCHS,
     SCENARIOS,
     SERVE_BATCH,
     ScenarioSpec,
@@ -63,6 +64,7 @@ __all__ = [
     "LoadReport",
     "LoopClock",
     "MAX_BODY_BYTES",
+    "MAX_TRAIN_EXAMPLE_EPOCHS",
     "PlainFuture",
     "SCENARIOS",
     "SERVE_BATCH",

@@ -56,6 +56,13 @@ from repro.wsn.topology import GridTopology
 #: on how requests were coalesced.  See the module docstring.
 SERVE_BATCH = 8
 
+#: Most ``train_epochs × train_samples`` a ``POST /v1/tenants`` config
+#: may ask for (32× the CLI default of 2 × 64).  The hot-swap trains on
+#: the event loop, stalling every tenant: at this budget a build took
+#: up to 1.9 s (congestion, 2,048 epochs of 2 samples; 0.8 s at 1 ×
+#: 4,096) on a 2-core host.
+MAX_TRAIN_EXAMPLE_EPOCHS = 4096
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -102,7 +109,8 @@ class TenantConfig:
     def from_payload(cls, payload: Dict) -> "TenantConfig":
         """A validated config from a decoded ``POST /v1/tenants``
         object.  ``name`` defaults to the scenario and nothing is
-        coerced: a wrong type or range raises ``ValueError`` naming
+        coerced: a wrong type or range, or training past
+        :data:`MAX_TRAIN_EXAMPLE_EPOCHS`, raises ``ValueError`` naming
         the field."""
         config = cls(
             name=payload.get("name", payload.get("scenario", "")),
@@ -112,6 +120,12 @@ class TenantConfig:
             train_samples=payload.get("train_samples", 64),
         )
         config.validate()
+        budget = config.train_epochs * config.train_samples
+        if budget > MAX_TRAIN_EXAMPLE_EPOCHS:
+            raise ValueError(
+                f"train_epochs * train_samples = {budget} exceeds "
+                f"{MAX_TRAIN_EXAMPLE_EPOCHS} example-epochs"
+            )
         return config
 
     def validate(self) -> None:

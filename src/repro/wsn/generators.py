@@ -21,6 +21,7 @@ Map JSON schema (see ``maps/district_sample.json``)::
     }
 
 ``comm_range`` in the file is a default; callers can override it.
+The importer parses a map or raises ``ValueError`` naming the field.
 """
 
 from __future__ import annotations
@@ -171,6 +172,18 @@ def sample_map_path() -> Path:
     return Path(__file__).resolve().parent / "maps" / "district_sample.json"
 
 
+def _finite(value, what: str) -> float:
+    """``value`` as a float: a number (never a bool) that converts to
+    a finite float, or ``ValueError`` naming ``what``."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{what} must be a finite number, got {value!r}")
+
+
 def load_map_topology(
     path: Union[str, Path], comm_range: Optional[float] = None
 ) -> Topology:
@@ -183,29 +196,41 @@ def load_map_topology(
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"map file {path} is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or "nodes" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
         raise ValueError(f"map file {path} must be an object with a 'nodes' list")
     if comm_range is None:
         if "comm_range" not in doc:
             raise ValueError(
                 f"map file {path} has no 'comm_range' and none was given"
             )
-        comm_range = float(doc["comm_range"])
-    nodes = []
+        comm_range = doc["comm_range"]
+    comm_range = _finite(comm_range, f"map file {path} 'comm_range'")
+    name = doc.get("name", path.stem)
+    if not isinstance(name, str):
+        raise ValueError(f"map file {path} 'name' must be a string")
+    nodes, seen = [], set()
     for i, entry in enumerate(doc["nodes"]):
-        try:
-            node_id = int(entry["id"])
-            x, y = entry["pos"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(
-                f"map file {path} node #{i} is malformed "
-                f"(need 'id' and 'pos': [x, y]): {exc}"
-            ) from None
-        nodes.append(SensorNode(node_id=node_id, position=(float(x), float(y))))
+        where = f"map file {path} node #{i}"
+        if not isinstance(entry, dict) or not {"id", "pos"} <= set(entry):
+            raise ValueError(f"{where} needs 'id' and 'pos': [x, y]")
+        node_id, pos = entry["id"], entry["pos"]
+        if isinstance(node_id, bool) or not isinstance(node_id, int):
+            raise ValueError(f"{where} 'id' must be an integer, got {node_id!r}")
+        if node_id in seen:
+            raise ValueError(f"{where} 'id' {node_id} is a duplicate")
+        seen.add(node_id)
+        if not isinstance(pos, list) or len(pos) != 2:
+            raise ValueError(f"{where} 'pos' must be [x, y], got {pos!r}")
+        x, y = (_finite(v, f"{where} 'pos'") for v in pos)
+        nodes.append(SensorNode(node_id=node_id, position=(x, y)))
     topo = Topology(nodes, comm_range=comm_range)
-    topo.map_name = doc.get("name", path.stem)
+    try:
+        topo.spatial_index()  # fails now, not at the first query
+    except ValueError as exc:
+        raise ValueError(f"map file {path} 'comm_range': {exc}") from None
+    topo.map_name = name
     return topo
 
 

@@ -147,6 +147,8 @@ class Network:
         #: families as ``name -> (keys, values)`` arrays.
         self._pushed: Dict[tuple, float] = {}
         self._pushed_families: Dict[str, Tuple[list, np.ndarray]] = {}
+        #: the registry generation the pushed values live in.
+        self._pushed_generation = 0
         if telemetry.enabled:
             telemetry.metrics.register_collector(self._sync_metrics)
 
@@ -155,6 +157,7 @@ class Network:
         if tel.enabled:
             # Retract this network's contribution so the registry keeps
             # mirroring the (now reset) stats exactly.
+            self._forget_cleared_pushes(tel.metrics)
             for key, value in self._pushed.items():
                 name = key[0]
                 labels = dict(key[1:])
@@ -374,6 +377,7 @@ class Network:
         registry ends up holding exactly what the stats hold (summed
         across networks sharing the session), with zero per-packet
         overhead on the send paths."""
+        self._forget_cleared_pushes(registry)
         stats = self.stats
         pushed = self._pushed
 
@@ -414,6 +418,15 @@ class Network:
                 registry, "net.link_values", list(self._link_values),
                 self._link_values.values(),
             )
+
+    def _forget_cleared_pushes(self, registry) -> None:
+        """A cleared registry holds none of this network's earlier
+        pushes: forget them, so the next collect republishes the full
+        totals and a reset retracts nothing."""
+        if self._pushed_generation != registry.generation:
+            self._pushed = {}
+            self._pushed_families = {}
+            self._pushed_generation = registry.generation
 
     def _push_family(self, registry, name: str, keys: list, values) -> None:
         """Push one per-node or per-link table as a single family update

@@ -5,11 +5,12 @@ neighborhood query is free.  City-district simulations (10k-100k
 zero-energy tags) are not: the seed-state ``Topology.neighbors()``
 scanned every node per query and ``Topology.graph()`` ran an O(n^2)
 pairwise double loop.  This module provides the sparse replacements
-the topology layer is rebased on:
+the topology layer is rebased on.  Both index every node: liveness is
+the topology's concern, which applies its alive mask to the results.
 
-- :class:`GridHashIndex` — a uniform-grid hash over the positions of
-  the *alive* nodes with cell size equal to the communication range,
-  so a range query inspects only the 3x3 cell neighborhood around the
+- :class:`GridHashIndex` — a uniform-grid hash over the node
+  positions with cell size equal to the communication range, so a
+  range query inspects only the 3x3 cell neighborhood around the
   query point instead of all n nodes;
 - :class:`SparseAdjacency` — CSR-style directed adjacency (row
   pointers + column indices + distances) produced by **one vectorized
@@ -53,8 +54,8 @@ def _exact_distances(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
 class SparseAdjacency:
     """CSR-style directed adjacency over the global node-index space.
 
-    Rows are node indices in topology insertion order (dead nodes have
-    empty rows); ``indices[indptr[i]:indptr[i+1]]`` are the neighbor
+    Rows are node indices in topology insertion order;
+    ``indices[indptr[i]:indptr[i+1]]`` are the neighbor
     indices of node ``i`` in ascending order, ``weights`` the matching
     link distances.  Every undirected link appears twice (once per
     direction), so ``n_edges`` is ``len(indices) // 2``.
@@ -90,36 +91,30 @@ class SparseAdjacency:
 
 
 class GridHashIndex:
-    """Uniform-grid hash over the alive nodes' positions.
+    """Uniform-grid hash over the node positions.
 
     Args:
-        positions: ``(n, 2)`` float64 positions of **all** nodes, in
+        positions: ``(n, 2)`` float64 positions of all nodes, in
             topology insertion order.
-        alive: ``(n,)`` bool mask; only alive nodes are indexed.
         cell_size: grid cell edge length.  Queries are exact for any
             radius up to ``cell_size`` (the 3x3 neighborhood covers
             the whole ball); the topology layer uses ``comm_range``.
 
     Cells are keyed by ``floor(position / cell_size)`` packed into one
     int64 per node; members are bucketed with a single stable argsort,
-    so within each cell candidates stay in insertion order.
+    so within each cell candidates stay in insertion order.  A position
+    2**30 or more cells from the origin raises ``ValueError``: its key
+    would overflow.
     """
 
-    def __init__(
-        self,
-        positions: np.ndarray,
-        alive: np.ndarray,
-        cell_size: float,
-    ) -> None:
+    def __init__(self, positions: np.ndarray, cell_size: float) -> None:
         if cell_size <= 0 or not np.isfinite(cell_size):
             raise ValueError(
                 f"cell_size must be positive and finite, got {cell_size}"
             )
         self.cell_size = float(cell_size)
-        positions = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
-        alive = np.asarray(alive, dtype=bool).reshape(-1)
-        members = np.flatnonzero(alive)
-        self.n_indexed = int(members.shape[0])
+        points = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
+        self.n_indexed = int(points.shape[0])
         if self.n_indexed == 0:
             self._order = np.empty(0, dtype=np.intp)
             self._points = np.empty((0, 2), dtype=np.float64)
@@ -129,8 +124,15 @@ class GridHashIndex:
             self._origin = (0, 0)
             self._stride = 1
             return
-        points = positions[members]
-        cells = np.floor(points / self.cell_size).astype(np.int64)
+        cells = np.floor(points / self.cell_size)
+        # Cells are packed into one int64 key per node below; under
+        # 2**30 cells from the origin the packed key cannot overflow.
+        if np.abs(cells).max() >= 2.0 ** 30:
+            raise ValueError(
+                f"cell_size {cell_size} is too small for positions up to "
+                f"{np.abs(points).max():g} (2**30 cells or more)"
+            )
+        cells = cells.astype(np.int64)
         # Shift into a non-negative frame with a one-cell apron so the
         # 3x3 neighborhood of any occupied cell has a valid key.
         ox = int(cells[:, 0].min()) - 1
@@ -141,7 +143,7 @@ class GridHashIndex:
         self._stride = int(cy.max()) + 2
         keys = cx * self._stride + cy
         order = np.argsort(keys, kind="stable")
-        self._order = members[order]          # global indices, bucketed
+        self._order = order                   # global indices, bucketed
         self._points = points[order]          # positions aligned to _order
         self._ukeys, starts, counts = np.unique(
             keys[order], return_index=True, return_counts=True
@@ -156,14 +158,13 @@ class GridHashIndex:
         radius: Optional[float] = None,
         exclude: Optional[int] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Alive nodes within ``radius`` of ``xy`` (boundary inclusive).
+        """Nodes within ``radius`` of ``xy`` (boundary inclusive).
 
         Returns ``(global_indices, distances)`` with indices ascending
         (topology insertion order), distances aligned and bitwise
         identical to the scalar reference computation.  ``exclude``
         removes one global index from the result (the query node
-        itself); a query centered on a dead node is legal — dead nodes
-        are simply never *returned*.
+        itself).
         """
         radius = self.cell_size if radius is None else float(radius)
         if radius > self.cell_size:
@@ -267,21 +268,19 @@ class GridHashIndex:
 
 def build_adjacency(
     positions: np.ndarray,
-    alive: np.ndarray,
     comm_range: float,
     index: Optional[GridHashIndex] = None,
 ) -> SparseAdjacency:
-    """Sparse connectivity over the alive nodes in one vectorized pass.
+    """Sparse connectivity over all nodes in one vectorized pass.
 
     ``index`` may pass in an already-built :class:`GridHashIndex` for
-    the same ``(positions, alive, comm_range)`` state; otherwise one is
-    built here.  The result covers the *global* index space: dead
-    nodes simply have empty rows.
+    the same ``(positions, comm_range)`` state; otherwise one is built
+    here.
     """
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
     n = positions.shape[0]
     if index is None:
-        index = GridHashIndex(positions, alive, comm_range)
+        index = GridHashIndex(positions, comm_range)
     src, dst, dist = index.directed_pairs(comm_range)
     order = np.lexsort((dst, src))
     src, dst, dist = src[order], dst[order], dist[order]

@@ -184,10 +184,7 @@ class Topology:
         """Geometry-memoized grid-hash index over all nodes (readers
         apply the alive mask to its results)."""
         if self._index_key != self._geometry:
-            everyone = np.ones(len(self._id_list), dtype=bool)
-            self._index = GridHashIndex(
-                self._positions, everyone, self.comm_range
-            )
+            self._index = GridHashIndex(self._positions, self.comm_range)
             self._index_key = self._geometry
         return self._index
 
@@ -196,10 +193,8 @@ class Topology:
         cell-pair pass); dead nodes keep their rows — readers apply the
         alive mask."""
         if self._adjacency_key != self._geometry:
-            everyone = np.ones(len(self._id_list), dtype=bool)
             self._adjacency = build_adjacency(
-                self._positions, everyone, self.comm_range,
-                index=self.spatial_index(),
+                self._positions, self.comm_range, index=self.spatial_index()
             )
             self._rows = None
             self._adjacency_key = self._geometry

@@ -29,6 +29,11 @@ In ``repro.core``, ``repro.serve`` and ``repro.faults`` the CNN's
 arithmetic runs through one layer loop,
 :meth:`~repro.core.DistributedExecutor.forward_hooked`: no other
 function there loops over layers calling their ``forward``.
+
+Training has one mini-batch loop, :class:`repro.nn.Trainer`'s: it makes
+the only ``<…>.optimizer.step(`` call in ``src/repro`` (a subclass
+such as :class:`~repro.core.MicroDeepTrainer` overrides its backward,
+not the loop).
 """
 
 import ast
@@ -770,3 +775,45 @@ def test_layer_loop_lint_detects_violations():
         "        return x\n    return inner\n"
     )
     assert layer_forward_loops(ast.parse(nested)) == [("inner", 4)]
+
+
+def optimizer_steps(tree):
+    """Line numbers of every ``<…>.optimizer.step(...)`` call."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "step"
+        and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr == "optimizer"
+    )
+
+
+def test_one_optimizer_step():
+    """``repro.nn.Trainer`` owns the one training loop, and the lint
+    sees its update."""
+    steps = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        name = path.relative_to(SRC).as_posix()
+        steps += [name for __ in optimizer_steps(tree)]
+    assert steps == ["nn/training.py"], (
+        "train through repro.nn.Trainer (override _backward), not a "
+        f"second mini-batch loop: {steps}"
+    )
+
+
+def test_optimizer_step_lint_detects_violations():
+    for src in (
+        "def f(self, slots):\n    self.optimizer.step(slots)\n",
+        "def f(trainer, slots):\n    trainer.optimizer.step(slots)\n",
+        "class T:\n    def fit(self, batches):\n        for b in batches:\n"
+        "            self.inner.optimizer.step(b)\n",
+    ):
+        assert len(optimizer_steps(ast.parse(src))) == 1, src
+    for src in (
+        "def f(opt, slots):\n    opt.step(slots)\n",
+        "def f(sim):\n    sim.step()\n",
+        "def f(self):\n    return self.optimizer.lr\n",
+    ):
+        assert optimizer_steps(ast.parse(src)) == [], src

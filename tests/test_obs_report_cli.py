@@ -17,7 +17,7 @@ from repro.core.assignment import grid_correspondence_assignment
 from repro.core.executor import DistributedExecutor
 from repro.core.unitgraph import UnitGraph
 from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, ReLU, Sequential
-from repro.wsn.network import Network
+from repro.wsn.network import Message, Network
 from repro.wsn.topology import GridTopology
 
 
@@ -95,6 +95,25 @@ class TestCostTables:
     def test_reconciliation_clean(self, traced_run):
         __, network, __ = traced_run
         assert network.telemetry_drift() == []
+
+    def test_reconciliation_survives_a_registry_clear(self):
+        """The first collect after a clear republishes each network's
+        full totals, and later collects stay in step."""
+        tel = obs.Telemetry()
+        network = Network(GridTopology(3, 3), telemetry=tel)
+        network.unicast(Message(0, 8, 4))
+        tel.metrics.collect()
+        tel.clear()
+        assert network.telemetry_drift() == []
+        assert tel.metrics.value("net.sent") == 1
+        network.unicast(Message(0, 8, 4))
+        assert network.telemetry_drift() == []
+        assert tel.metrics.value("net.sent") == 2
+        tel.clear()  # a reset before any collect retracts nothing
+        network.reset_stats()
+        network.unicast(Message(8, 0, 2))
+        assert network.telemetry_drift() == []
+        assert tel.metrics.value("net.sent") == 1
 
     def test_markdown_tables(self, traced_run):
         __, __, events = traced_run

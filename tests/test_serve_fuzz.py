@@ -11,8 +11,10 @@ inputs may only ever produce their documented outcomes:
   ``_BadRequest`` carrying a 4xx — never another exception and never a
   hang;
 - a JSON object either becomes a well-typed, in-range
-  :class:`TenantConfig` or raises ``ValueError`` naming a field —
-  never ``KeyError``, ``TypeError`` or ``IndexError``.
+  :class:`TenantConfig` within the training budget
+  (:data:`~repro.serve.MAX_TRAIN_EXAMPLE_EPOCHS`) or raises
+  ``ValueError`` naming a field — never ``KeyError``, ``TypeError``
+  or ``IndexError``.
 
 ``derandomize=True`` keeps the examples fixed from run to run.
 """
@@ -23,7 +25,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve import MAX_BODY_BYTES, SCENARIOS, ServeApp, TenantConfig
+from repro.serve import (
+    MAX_BODY_BYTES,
+    MAX_TRAIN_EXAMPLE_EPOCHS,
+    SCENARIOS,
+    ServeApp,
+    TenantConfig,
+)
 from repro.serve.http import _BadRequest
 
 FUZZ = settings(derandomize=True, max_examples=250, deadline=None)
@@ -144,8 +152,8 @@ _valid = {
     "name": st.sampled_from(["fall", "tenant-a"]),
     "scenario": st.sampled_from(sorted(SCENARIOS)),
     "seed": st.integers(0, 2 ** 70),
-    "train_epochs": st.integers(0, 5),
-    "train_samples": st.integers(2, 200),
+    "train_epochs": st.integers(0, 64),
+    "train_samples": st.integers(2, 4096),
 }
 _junk = st.one_of(
     st.booleans(), st.integers(-3, 1), st.sampled_from(["", "fall"]),
@@ -184,3 +192,5 @@ def test_tenant_config_either_validates_or_names_the_field(payload):
     for field, floor in INT_FLOORS.items():
         value = getattr(config, field)
         assert type(value) is int and value >= floor, (field, value)
+    budget = config.train_epochs * config.train_samples
+    assert budget <= MAX_TRAIN_EXAMPLE_EPOCHS, budget

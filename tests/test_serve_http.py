@@ -475,6 +475,28 @@ class TestHotSwapEndpoint:
         run(with_app(test))
 
 
+    def test_training_past_the_budget_is_a_400(self):
+        """The hot-swap trains on the event loop, so a config past
+        ``MAX_TRAIN_EXAMPLE_EPOCHS`` is refused before it trains and
+        ``/healthz`` answers right after it."""
+        payload = {"scenario": "fall", "name": "big", "train_epochs": 40,
+                   "train_samples": 2048}
+
+        async def test(app, client):
+            loop = asyncio.get_running_loop()
+            sent = loop.time()
+            status, body = await client.post_json("/v1/tenants", payload)
+            assert status == 400
+            assert body["error"] == "bad-tenant-config"
+            assert "train_epochs" in body["detail"]
+            assert "train_samples" in body["detail"]
+            status, health = await client.get_json("/healthz")
+            assert status == 200
+            assert loop.time() - sent < 0.5
+            assert sorted(health["tenants"]) == ["fall", "hvac"]
+
+        run(with_app(test))
+
     @pytest.mark.parametrize("payload, field", [
         ({"name": 5, "scenario": "fall"}, "name"),
         ({"name": "x", "scenario": ["fall"]}, "scenario"),

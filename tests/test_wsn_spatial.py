@@ -171,7 +171,7 @@ class TestSpatialParityFuzz:
 
 class TestGridHashIndex:
     def test_radius_beyond_cell_size_rejected(self):
-        idx = GridHashIndex(np.zeros((3, 2)), np.ones(3, bool), 1.0)
+        idx = GridHashIndex(np.zeros((3, 2)), 1.0)
         with pytest.raises(ValueError, match="exceeds cell size"):
             idx.query((0.0, 0.0), radius=1.5)
         with pytest.raises(ValueError, match="exceeds cell size"):
@@ -180,18 +180,30 @@ class TestGridHashIndex:
     def test_bad_cell_size_rejected(self):
         for bad in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="cell_size"):
-                GridHashIndex(np.zeros((1, 2)), np.ones(1, bool), bad)
+                GridHashIndex(np.zeros((1, 2)), bad)
 
     def test_empty_index(self):
-        idx = GridHashIndex(np.zeros((4, 2)), np.zeros(4, bool), 1.0)
+        idx = GridHashIndex(np.zeros((0, 2)), 1.0)
         ids, dist = idx.query((0.0, 0.0))
         assert ids.size == 0 and dist.size == 0
         s, d, w = idx.directed_pairs()
         assert s.size == d.size == w.size == 0
 
+    def test_overflowing_cell_keys_rejected(self):
+        """Cell keys are packed int64s: 3e9 cells out they would wrap,
+        and ``neighbors(1)`` missed the link to node 2 the oracle
+        finds.  The index refuses such a grid instead."""
+        topo = Topology([
+            SensorNode(0, (0.0, 0.0)), SensorNode(1, (3e9, 3e9)),
+            SensorNode(2, (3e9 + 0.5, 3e9)),
+        ], comm_range=1.0)
+        assert [n.node_id for n in topo.neighbors_reference(1)] == [2]
+        with pytest.raises(ValueError, match="too small"):
+            topo.neighbors(1)
+
     def test_negative_coordinates(self):
         pos = np.array([[-10.0, -10.0], [-10.5, -10.2], [5.0, 5.0]])
-        idx = GridHashIndex(pos, np.ones(3, bool), 1.0)
+        idx = GridHashIndex(pos, 1.0)
         ids, dist = idx.query((-10.0, -10.0), exclude=0)
         assert ids.tolist() == [1]
         assert dist[0] == SensorNode(0, (-10.0, -10.0)).distance_to(
@@ -201,8 +213,7 @@ class TestGridHashIndex:
     def test_directed_pairs_symmetric(self):
         rng = np.random.default_rng(11)
         pos = rng.uniform(0, 4, size=(40, 2))
-        alive = rng.random(40) > 0.3
-        idx = GridHashIndex(pos, alive, 1.2)
+        idx = GridHashIndex(pos, 1.2)
         s, d, __ = idx.directed_pairs()
         pairs = set(zip(s.tolist(), d.tolist()))
         assert pairs == {(b, a) for a, b in pairs}
@@ -211,15 +222,13 @@ class TestGridHashIndex:
     def test_adjacency_rows_sorted_and_consistent(self):
         rng = np.random.default_rng(12)
         pos = rng.uniform(0, 6, size=(60, 2))
-        alive = rng.random(60) > 0.2
-        adjacency = build_adjacency(pos, alive, 1.5)
+        adjacency = build_adjacency(pos, 1.5)
         assert adjacency.indptr[0] == 0
         assert adjacency.indptr[-1] == adjacency.indices.shape[0]
         total = 0
         for i in range(60):
             row, w = adjacency.row(i)
             assert list(row) == sorted(row.tolist())
-            assert not alive[i] and row.size == 0 or alive[i]
             total += row.size
         assert adjacency.n_edges == total // 2
         edges = list(adjacency.undirected_edges())
