@@ -5,12 +5,12 @@ per-layer communication pattern of a placed CNN is fully static, so
 nothing about a forward pass's traffic needs to be decided at run
 time: the routes and the per-link traffic are functions of the
 placement and the topology alone.  This package "compiles" that
-structure once into a flat ndarray program — hop groups with one
-batched traffic-accounting update each (the ``traffic_replay_batched``
-trick generalized to the whole forward) — which
-:meth:`CompiledPlan.run` then applies without touching the event
-loop.  Routes come from the network's own router, so the plan and the
-event-driven path can never disagree on a path.  The arithmetic is
+structure once into a per-link program — one inference's traffic
+ledger delta (the ``traffic_replay_batched`` trick generalized to the
+whole forward) — which :meth:`CompiledPlan.run` adds to the network's
+ledger in one pass, without touching the event loop.  Routes come
+from the network's own router, so the plan and the event-driven path
+can never disagree on a path.  The arithmetic is
 not part of a plan: every path runs the executor's one layer loop.
 
 The event-driven replay of :class:`repro.core.DistributedExecutor`

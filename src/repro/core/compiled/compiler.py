@@ -1,10 +1,10 @@
-"""Planner pass: placement + network schedule -> flat ndarray program.
+"""Planner pass: placement + network schedule -> per-link program.
 
 :func:`compile_plan` folds the placement index's transfer groups
 through the network's own router — the one the event-driven path
-uses — into per-link and per-node integer tallies.  Compilation
-either round-trips the event-driven semantics exactly or raises the
-typed :class:`PlanNotCompilable` — never a silently-wrong plan.
+uses — into per-link integer tallies.  Compilation either round-trips
+the event-driven semantics exactly or raises the typed
+:class:`PlanNotCompilable` — never a silently-wrong plan.
 
 This module must never import :mod:`repro.sim` (lint-enforced).
 """
@@ -12,8 +12,6 @@ This module must never import :mod:`repro.sim` (lint-enforced).
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.core.compiled.plan import CompiledPlan, HopProgram
 
@@ -58,12 +56,10 @@ def plan_blocked(executor) -> Optional[Tuple[str, str]]:
 
 def _build_hop_program(executor) -> HopProgram:
     """Fold the transfer groups through the routes into one integer
-    tally per link and per node — the whole forward's traffic as a
-    handful of arrays."""
+    tally per directed link — the whole forward's traffic as one
+    ledger delta."""
     network = executor.network
     link_acc: Dict[Tuple[int, int], List[int]] = {}
-    tx_acc: Dict[int, List[int]] = {}
-    rx_acc: Dict[int, List[int]] = {}
     sent = 0
     hops = 0
     groups = executor.index.groups
@@ -81,27 +77,8 @@ def _build_hop_program(executor) -> HopProgram:
             link = link_acc.setdefault((hop_src, hop_dst), [0, 0])
             link[0] += multiplicity
             link[1] += values
-            tx = tx_acc.setdefault(hop_src, [0, 0])
-            tx[0] += multiplicity
-            tx[1] += values
-            rx = rx_acc.setdefault(hop_dst, [0, 0])
-            rx[0] += multiplicity
-            rx[1] += values
-
-    def _cols(acc, index):
-        return np.array([pair[index] for pair in acc.values()], dtype=np.int64)
-
     return HopProgram(
-        link_src=np.array([s for s, __ in link_acc], dtype=np.intp),
-        link_dst=np.array([d for __, d in link_acc], dtype=np.intp),
-        link_packets=_cols(link_acc, 0),
-        link_values=_cols(link_acc, 1),
-        tx_nodes=np.array(list(tx_acc), dtype=np.intp),
-        tx_packets=_cols(tx_acc, 0),
-        tx_values=_cols(tx_acc, 1),
-        rx_nodes=np.array(list(rx_acc), dtype=np.intp),
-        rx_packets=_cols(rx_acc, 0),
-        rx_values=_cols(rx_acc, 1),
+        links={link: tuple(tally) for link, tally in link_acc.items()},
         sent=sent,
         hops=hops,
         n_transfer_groups=len(groups),

@@ -1,11 +1,11 @@
-"""The flat ndarray program a compiled plan executes.
+"""The per-link program a compiled plan executes.
 
 A :class:`CompiledPlan` holds a :class:`HopProgram` — every directed
 link's per-inference packet and value tallies, already aggregated over
 all transfer groups and route hops, which
-:meth:`repro.wsn.Network.account_compiled` applies as one batched
-accounting update.  The plan carries traffic only: the arithmetic is
-the executor's one layer loop,
+:meth:`repro.wsn.Network.account_compiled` adds to the network's
+traffic ledger in one pass.  The plan carries traffic only: the
+arithmetic is the executor's one layer loop,
 :meth:`repro.core.DistributedExecutor.forward_hooked`, on every path.
 
 This module must never import :mod:`repro.sim` (lint-enforced): the
@@ -15,23 +15,21 @@ compiled hot path owes its speed to never entering the event loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Dict, Tuple
 
 
 @dataclass(frozen=True)
 class HopProgram:
-    """One inference's traffic, aggregated per directed link and node.
+    """One inference's traffic, aggregated per directed link — the
+    per-inference delta of the network's traffic ledger.
 
-    All arrays are per *single* inference; the accounting hook scales
+    All tallies are per *single* inference; the accounting hook scales
     them by the batch size (exact integer arithmetic, so the resulting
-    counters equal the event-driven replay's to the last value).
+    ledger equals the event-driven replay's to the last value).
 
     Attributes:
-        link_src / link_dst / link_packets / link_values: one entry
-            per directed link carrying traffic (first-use order).
-        tx_nodes / tx_packets / tx_values: per transmitting node.
-        rx_nodes / rx_packets / rx_values: per receiving node.
+        links: ``(src, dst) -> (packets, values)`` per directed link
+            carrying traffic, in first-use order (read-only).
         sent: application messages per inference (each is delivered —
             plans only compile on ideal links).
         hops: packet-hops per inference.
@@ -39,29 +37,19 @@ class HopProgram:
             groups the program was folded from.
     """
 
-    link_src: np.ndarray
-    link_dst: np.ndarray
-    link_packets: np.ndarray
-    link_values: np.ndarray
-    tx_nodes: np.ndarray
-    tx_packets: np.ndarray
-    tx_values: np.ndarray
-    rx_nodes: np.ndarray
-    rx_packets: np.ndarray
-    rx_values: np.ndarray
+    links: Dict[Tuple[int, int], Tuple[int, int]]
     sent: int
     hops: int
     n_transfer_groups: int
 
     @property
     def n_links(self) -> int:
-        return int(self.link_src.shape[0])
+        return len(self.links)
 
     def total_values(self) -> int:
-        """Values received network-wide per inference (conservation
-        pin: equals the sum of the per-node rx tallies and the sum of
-        the per-link tallies)."""
-        return int(self.link_values.sum())
+        """Values received network-wide per inference (the sum of the
+        per-link tallies)."""
+        return sum(values for __, values in self.links.values())
 
 
 class CompiledPlan:
@@ -76,7 +64,7 @@ class CompiledPlan:
     otherwise).
 
     Args:
-        network: the network whose counters the plan advances.
+        network: the network whose ledger the plan advances.
         hops: the aggregated traffic program.
     """
 
@@ -86,6 +74,6 @@ class CompiledPlan:
 
     def run(self, copies: int) -> None:
         """Account ``copies`` inferences' traffic in one bulk update —
-        every counter ends up where the event-driven replay would put
-        it."""
+        the network's stats end up where the event-driven replay would
+        put them."""
         self.network.account_compiled(self.hops, copies=copies)

@@ -23,7 +23,7 @@ transmission timing, multi-channel assignment, and recovery, which are
 
 This plans the *collection* side (when and on which channel each node
 reports).  The complementary planner pass for the *inference* side —
-compiling a placement + network schedule into a flat ndarray program —
+compiling a placement + network schedule into a per-link program —
 lives in :mod:`repro.core.compiled`.
 """
 

@@ -86,7 +86,6 @@ def inject(
     """
     for node in scenario.topology:
         node.alive = True
-        node.reset_counters()
     sim = Simulator()
     trace = FaultTrace()
     clock = lambda: sim.now  # noqa: E731

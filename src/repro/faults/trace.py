@@ -17,6 +17,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List
 
+#: The canonical record encoder (sorted keys, compact separators),
+#: shared: ``json.dumps`` with non-default settings builds a new
+#: encoder on every call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -34,10 +39,8 @@ class TraceRecord:
     detail: Dict[str, object] = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"t": self.time, "kind": self.kind, "detail": self.detail},
-            sort_keys=True,
-            separators=(",", ":"),
+        return _ENCODER.encode(
+            {"t": self.time, "kind": self.kind, "detail": self.detail}
         )
 
 

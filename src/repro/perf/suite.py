@@ -77,7 +77,7 @@ from repro.perf.timing import (
     measure,
 )
 from repro.wsn.choco import ChocoCollector
-from repro.wsn.network import Message, Network
+from repro.wsn.network import Message, Network, TrafficStats
 from repro.wsn.node import SensorNode
 from repro.wsn.radio import RadioModel
 from repro.wsn.routing import (
@@ -185,26 +185,6 @@ def bench_traffic_replay(protocol: BenchProtocol, seed: int, quick: bool) -> Dic
     )
 
 
-def _full_stats(network: Network) -> Dict:
-    """Every counter the network keeps (node counters included) — the
-    object the compiled path must reproduce exactly."""
-    s = network.stats
-    return {
-        "sent": s.sent,
-        "delivered": s.delivered,
-        "dropped": s.dropped,
-        "corrupted": s.corrupted,
-        "duplicated": s.duplicated,
-        "total_hops": s.total_hops,
-        "rx": dict(s.per_node_rx_values),
-        "tx": dict(s.per_node_tx_values),
-        "node_counts": {
-            n.node_id: (n.tx_count, n.rx_count, n.tx_values, n.rx_values)
-            for n in network.topology
-        },
-    }
-
-
 #: Forwards per timed ``forward_plan`` run: enough that the planned
 #: side (~0.2-0.3 ms a forward) fills ~10 ms, above timer and
 #: scheduler noise.
@@ -246,12 +226,14 @@ def bench_forward_plan(protocol: BenchProtocol, seed: int, quick: bool) -> Dict:
 
     # Untimed differential parity against the oracle (the first planned
     # forward also compiles the executor's own plan outside the timers).
+    # reset_stats swaps in a fresh TrafficStats, so a held one is a
+    # snapshot; its ledger carries every per-link and per-node tally.
     network.reset_stats()
     out_plan = executor.forward(x)
-    plan_stats = _full_stats(network)
+    plan_stats = network.stats
     network.reset_stats()
     out_oracle = executor.forward(x, plan=None)
-    oracle_stats = _full_stats(network)
+    oracle_stats = network.stats
     if out_plan.tobytes() != out_oracle.tobytes():
         raise AssertionError(  # pragma: no cover - parity contract
             "compiled plan logits diverged from the event-driven oracle"
@@ -792,7 +774,7 @@ def bench_city_scale(protocol: BenchProtocol, seed: int, quick: bool) -> Dict:
     equivalent: identical ordered neighbor lists over the sample,
     identical graph nodes/edges/weights, identical routes (including
     the ``None`` for the dead destination), **counter-exact**
-    ``TrafficStats`` (every global and per-node counter), and a
+    ``TrafficStats`` (every global counter and per-link tally), and a
     bit-identical Choco round (same RNG draw order).  The ``parity_*``
     counters surface those certifications in the committed table.
 
@@ -879,11 +861,11 @@ def bench_city_scale(protocol: BenchProtocol, seed: int, quick: bool) -> Dict:
     net_parity = Network(topology, router=_route_on_reference_graph)
     net_reference = Network(topology, router=shortest_path_route_reference)
 
-    def _send_all(network: Network) -> Dict:
+    def _send_all(network: Network) -> TrafficStats:
         network.reset_stats()
         for s, d in pairs:
             network.unicast(Message(s, d, 8))
-        return _full_stats(network)
+        return network.stats
 
     spatial_stats = _send_all(net_spatial)
     delivered = net_spatial.stats.delivered

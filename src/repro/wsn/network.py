@@ -1,4 +1,4 @@
-"""Network layer with per-node traffic accounting.
+"""Network layer with a per-link traffic ledger.
 
 MicroDeep's communication cost is "the number of unit-output values a
 sensor node receives per inference" (Fig. 10's y-axis).  This layer
@@ -6,21 +6,23 @@ counts both packets and values at every hop so the distributed
 executor's measured costs can be checked against the static cost model
 (a property the test suite enforces).
 
-All per-hop tallies — node counters, aggregate stats, per-link values
-— advance through two choke points: :meth:`Network._account_hop` for
-the message paths, and :meth:`Network.account_compiled`, which applies
-a compiled plan's pre-aggregated tallies to the same counters in bulk.
-Drops are attributed to a cause (``fault`` / ``loss`` /
-``unroutable``).  When a telemetry session is installed
-(:mod:`repro.obs`), the network registers a pull collector that mirrors
-its counters into the metrics registry with zero hot-path overhead,
-and :meth:`telemetry_drift` re-derives every tally three ways as a
-reconciliation assertion (the chaos suite runs it under lossy
-``unicast_bulk`` fallback).
+Every hop is tallied in one place, the network's ledger
+:attr:`TrafficStats.links` — ``(src, dst) -> [packets, values]`` per
+directed link — through two choke points: :meth:`Network._account_hop`
+for the message paths, and :meth:`Network.account_compiled`, which adds
+a compiled plan's per-link tallies in bulk.  Per-node values are folds
+of the ledger, so they cannot drift from it.  Drops are attributed to
+a cause (``fault`` / ``loss`` / ``unroutable``).  When a telemetry
+session is installed (:mod:`repro.obs`), the network registers a pull
+collector that mirrors its stats into the metrics registry with zero
+hot-path overhead, and :meth:`telemetry_drift` reconciles the registry
+with the stats (the chaos suite runs it under lossy ``unicast_bulk``
+fallback).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -37,6 +39,18 @@ _FAMILY_LABELS = {
     "net.tx_values": ("node",),
     "net.link_values": ("src", "dst"),
 }
+
+
+def _count(name: str, value) -> int:
+    """``value`` as a non-negative ``int`` (numpy ints pass); anything
+    else raises a :class:`ValueError` naming ``name``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < 0:
+        raise ValueError(f"{name} must be non-negative, got {count}")
+    return count
 
 
 def _nonzero(keys: list, amounts: np.ndarray) -> Tuple[list, np.ndarray]:
@@ -67,12 +81,33 @@ class TrafficStats:
     corrupted: int = 0
     duplicated: int = 0
     total_hops: int = 0
-    per_node_rx_values: Dict[int, int] = field(default_factory=dict)
-    per_node_tx_values: Dict[int, int] = field(default_factory=dict)
+    #: The traffic ledger: ``(src, dst) -> [packets, values]`` carried
+    #: over each directed link, in first-use order.
+    links: Dict[Tuple[int, int], List[int]] = field(default_factory=dict)
     #: Drops attributed to why they happened: ``"fault"`` (injected
     #: link fault), ``"loss"`` (random loss after retries), or
     #: ``"unroutable"`` (no route).  Sums to :attr:`dropped`.
     dropped_causes: Dict[str, int] = field(default_factory=dict)
+
+    def _fold(self, end: int) -> Dict[int, int]:
+        """Values per node, the ledger summed over link endpoint
+        ``end`` (0 sender, 1 receiver); a node's first-use order is
+        that of its first link."""
+        per_node: Dict[int, int] = {}
+        for link, (__, values) in self.links.items():
+            node = link[end]
+            per_node[node] = per_node.get(node, 0) + values
+        return per_node
+
+    @property
+    def per_node_rx_values(self) -> Dict[int, int]:
+        """Values each node received, in first-reception order."""
+        return self._fold(1)
+
+    @property
+    def per_node_tx_values(self) -> Dict[int, int]:
+        """Values each node transmitted, in first-transmission order."""
+        return self._fold(0)
 
     def max_rx_values(self) -> int:
         """Peak per-node received values — the paper's 'maximal
@@ -126,7 +161,7 @@ class Network:
         self.topology = topology
         self.router = shortest_path_route if router is None else router
         self.loss_probability = loss_probability
-        self.max_retries = max_retries
+        self.max_retries = _count("max_retries", max_retries)
         self._rng = rng
         self.link_faults = link_faults
         self.stats = TrafficStats()
@@ -135,11 +170,6 @@ class Network:
 
             telemetry = current()
         self._telemetry = telemetry
-        #: (src, dst) -> values carried over that link; tracked only
-        #: while telemetry is enabled (per-link series in the trace).
-        self._link_values: Optional[Dict[Tuple[int, int], int]] = (
-            {} if telemetry.enabled else None
-        )
         #: Metric values this network has pushed into the registry so
         #: far; the collector pushes deltas, making repeated collects
         #: idempotent and :meth:`reset_stats` retractable.  Scalars and
@@ -168,11 +198,7 @@ class Network:
                 ).retract(*_nonzero(keys, values))
         self._pushed = {}
         self._pushed_families = {}
-        if self._link_values is not None:
-            self._link_values = {}
         self.stats = TrafficStats()
-        for node in self.topology:
-            node.reset_counters()
 
     def _hop_succeeds(self) -> bool:
         if self.loss_probability == 0.0:
@@ -186,27 +212,17 @@ class Network:
     def _account_hop(
         self, hop_src: int, hop_dst: int, n_packets: int, n_values: int
     ) -> None:
-        """The single place per-hop traffic is tallied: node counters,
-        aggregate stats, and per-link telemetry advance together here,
-        so the three views cannot drift."""
-        src_node = self.topology.node(hop_src)
-        dst_node = self.topology.node(hop_dst)
-        src_node.tx_count += n_packets
-        src_node.tx_values += n_values
-        dst_node.rx_count += n_packets
-        dst_node.rx_values += n_values
+        """The one place a message hop is tallied: its directed link's
+        ledger cell and the hop total."""
         stats = self.stats
-        stats.per_node_tx_values[hop_src] = (
-            stats.per_node_tx_values.get(hop_src, 0) + n_values
-        )
-        stats.per_node_rx_values[hop_dst] = (
-            stats.per_node_rx_values.get(hop_dst, 0) + n_values
-        )
+        key = (hop_src, hop_dst)
+        cell = stats.links.get(key)
+        if cell is None:
+            stats.links[key] = [n_packets, n_values]
+        else:
+            cell[0] += n_packets
+            cell[1] += n_values
         stats.total_hops += n_packets
-        link_track = self._link_values
-        if link_track is not None:
-            key = (hop_src, hop_dst)
-            link_track[key] = link_track.get(key, 0) + n_values
 
     def _drop(self, cause: str, count: int = 1) -> None:
         """Account ``count`` dropped messages attributed to ``cause``."""
@@ -219,10 +235,10 @@ class Network:
     def unicast(self, message: Message) -> bool:
         """Route a message hop by hop; returns delivery success.
 
-        Counters: every transmitting node's ``tx_*`` and every
-        receiving node's ``rx_*`` increase at each hop, so relays pay
-        for forwarded traffic — the effect MicroDeep's assignment is
-        designed to balance.
+        Every hop adds to its link's ledger cell, so a relay's
+        transmitted and received values both grow with forwarded
+        traffic — the effect MicroDeep's assignment is designed to
+        balance.
         """
         self.stats.sent += 1
         route = self.router(self.topology, message.src, message.dst)
@@ -266,19 +282,18 @@ class Network:
 
         On ideal links (no loss, no fault model) this is the vectorized
         equivalent of calling :meth:`unicast` ``copies`` times: the
-        route is resolved **once** and every counter — packet counts,
-        per-node tx/rx values, hop totals, per-link telemetry — is
-        advanced by the same amounts the per-message loop would
-        produce (counter-exact scaled accounting), so traffic stats
-        stay byte-identical while the Python cost drops from
-        ``O(copies x hops)`` to ``O(hops)``.
+        route is resolved **once** and each of its links' ledger cells
+        — and the sent/delivered/hop totals — advance by the same
+        amounts the per-message loop would produce (counter-exact
+        scaled accounting), so traffic stats stay byte-identical while
+        the Python cost drops from ``O(copies x hops)`` to ``O(hops)``.
 
         Lossy or fault-injected links draw per-message randomness, so
         aggregation would change the RNG stream; in that case this
         falls back to the per-message loop, preserving exact behaviour.
+        ``copies`` must be a non-negative integer.
         """
-        if copies < 0:
-            raise ValueError(f"copies must be non-negative, got {copies}")
+        copies = _count("copies", copies)
         if copies == 0:
             return 0
         if self.loss_probability > 0.0 or self.link_faults is not None:
@@ -299,21 +314,20 @@ class Network:
 
         ``program`` is a :class:`repro.core.compiled.HopProgram`
         holding one inference's traffic pre-aggregated per directed
-        link and per node; this applies ``copies`` inferences' worth
-        in one batched update per tally — the ``unicast_bulk``
-        counter-exact scaling generalized to the whole forward.  Every
-        counter ends up exactly where replaying the transfer list
-        through :meth:`unicast_bulk` would put it (the compiled parity
-        suite pins this), while the Python cost drops from
-        ``O(transfer groups x hops)`` route walks to ``O(nodes)``.
+        link; this adds ``copies`` inferences' worth to the ledger in
+        one pass over its links — the ``unicast_bulk`` counter-exact
+        scaling generalized to the whole forward.  The stats end up
+        exactly where replaying the transfer list through
+        :meth:`unicast_bulk` would put them (the compiled parity suite
+        pins this), while the Python cost drops from
+        ``O(transfer groups x hops)`` route walks to ``O(links)``.
 
         Plans are only compiled for ideal links, so unlike
         :meth:`unicast_bulk` there is no lossy fallback here — calling
         this on a lossy or fault-injected network is a programming
-        error and raises.
+        error and raises.  ``copies`` must be a non-negative integer.
         """
-        if copies < 0:
-            raise ValueError(f"copies must be non-negative, got {copies}")
+        copies = _count("copies", copies)
         if copies == 0:
             return 0
         if self.loss_probability > 0.0 or self.link_faults is not None:
@@ -326,37 +340,14 @@ class Network:
         stats.sent += delivered
         stats.delivered += delivered
         stats.total_hops += program.hops * copies
-        for node_id, packets, values in zip(
-            program.tx_nodes.tolist(),
-            program.tx_packets.tolist(),
-            program.tx_values.tolist(),
-        ):
-            node = self.topology.node(node_id)
-            node.tx_count += packets * copies
-            node.tx_values += values * copies
-            stats.per_node_tx_values[node_id] = (
-                stats.per_node_tx_values.get(node_id, 0) + values * copies
-            )
-        for node_id, packets, values in zip(
-            program.rx_nodes.tolist(),
-            program.rx_packets.tolist(),
-            program.rx_values.tolist(),
-        ):
-            node = self.topology.node(node_id)
-            node.rx_count += packets * copies
-            node.rx_values += values * copies
-            stats.per_node_rx_values[node_id] = (
-                stats.per_node_rx_values.get(node_id, 0) + values * copies
-            )
-        link_track = self._link_values
-        if link_track is not None:
-            for src, dst, values in zip(
-                program.link_src.tolist(),
-                program.link_dst.tolist(),
-                program.link_values.tolist(),
-            ):
-                key = (src, dst)
-                link_track[key] = link_track.get(key, 0) + values * copies
+        links = stats.links
+        for key, (packets, values) in program.links.items():
+            cell = links.get(key)
+            if cell is None:
+                links[key] = [packets * copies, values * copies]
+            else:
+                cell[0] += packets * copies
+                cell[1] += values * copies
         return delivered
 
     def broadcast_from(self, src: int, n_values: int) -> int:
@@ -403,21 +394,17 @@ class Network:
         push("net.dropped_causes", [
             ((("cause", k),), v) for k, v in stats.dropped_causes.items()
         ])
-        self._push_family(
-            registry, "net.rx_values",
-            [(k,) for k in stats.per_node_rx_values],
-            stats.per_node_rx_values.values(),
-        )
-        self._push_family(
-            registry, "net.tx_values",
-            [(k,) for k in stats.per_node_tx_values],
-            stats.per_node_tx_values.values(),
-        )
-        if self._link_values:
+        for name, per_node in (
+            ("net.rx_values", stats.per_node_rx_values),
+            ("net.tx_values", stats.per_node_tx_values),
+        ):
             self._push_family(
-                registry, "net.link_values", list(self._link_values),
-                self._link_values.values(),
+                registry, name, [(k,) for k in per_node], per_node.values()
             )
+        self._push_family(
+            registry, "net.link_values", list(stats.links),
+            (values for __, values in stats.links.values()),
+        )
 
     def _forget_cleared_pushes(self, registry) -> None:
         """A cleared registry holds none of this network's earlier
@@ -449,27 +436,15 @@ class Network:
         )
 
     def telemetry_drift(self) -> List[str]:
-        """Reconciliation assertion: re-derive every tally from its
-        three sources — per-node counters on the nodes, the aggregate
-        :class:`TrafficStats`, and (when a session is installed and
-        this network is its only traffic source) the metrics registry
-        — and describe every mismatch.  Returns ``[]`` when all views
-        agree, which the chaos suite asserts under lossy
-        ``unicast_bulk`` fallback."""
+        """Reconciliation assertion: check the stats' own identities
+        and (when a session is installed and this network is its only
+        traffic source) that the metrics registry mirrors the stats —
+        every scalar, per-node value and ``net.link_values`` member —
+        and describe every mismatch.  Returns ``[]`` when all agree,
+        which the chaos suite asserts under lossy ``unicast_bulk``
+        fallback."""
         problems: List[str] = []
         stats = self.stats
-        for node in self.topology:
-            for attr, per_node in (
-                ("rx_values", stats.per_node_rx_values),
-                ("tx_values", stats.per_node_tx_values),
-            ):
-                have = getattr(node, attr)
-                want = per_node.get(node.node_id, 0)
-                if have != want:
-                    problems.append(
-                        f"node {node.node_id} {attr}: counter {have} != "
-                        f"stats {want}"
-                    )
         if stats.sent != stats.delivered + stats.dropped + stats.corrupted:
             problems.append(
                 f"outcomes do not partition sends: sent {stats.sent} != "
@@ -499,26 +474,31 @@ class Network:
                     problems.append(
                         f"registry {name}: {have} != stats {want}"
                     )
-            for node, want in stats.per_node_rx_values.items():
-                have = registry.value("net.rx_values", node=node)
+            for name, per_node in (
+                ("net.rx_values", stats.per_node_rx_values),
+                ("net.tx_values", stats.per_node_tx_values),
+            ):
+                for node, want in per_node.items():
+                    have = registry.value(name, node=node)
+                    if have != want:
+                        problems.append(
+                            f"registry {name} node {node}: {have} != "
+                            f"stats {want}"
+                        )
+            members = {
+                (labels["src"], labels["dst"]): counter.value
+                for name, labels, counter in registry.series()
+                if name == "net.link_values" and counter.value
+            }
+            ledger = {
+                link: values
+                for link, (__, values) in stats.links.items() if values
+            }
+            for link in sorted(members.keys() | ledger.keys()):
+                have, want = members.get(link, 0.0), ledger.get(link, 0)
                 if have != want:
                     problems.append(
-                        f"registry net.rx_values node {node}: {have} != "
-                        f"stats {want}"
-                    )
-            for node, want in stats.per_node_tx_values.items():
-                have = registry.value("net.tx_values", node=node)
-                if have != want:
-                    problems.append(
-                        f"registry net.tx_values node {node}: {have} != "
-                        f"stats {want}"
-                    )
-            if self._link_values is not None:
-                link_total = sum(self._link_values.values())
-                rx_total = sum(stats.per_node_rx_values.values())
-                if link_total != rx_total:
-                    problems.append(
-                        f"per-link values {link_total} != per-node rx "
-                        f"total {rx_total}"
+                        f"registry net.link_values {link[0]}->{link[1]}: "
+                        f"{have} != ledger {want}"
                     )
         return problems

@@ -11,17 +11,17 @@ from repro.energy.capacitor import Capacitor
 class SensorNode:
     """A tiny IoT device placed at XY-coordinates.
 
-    MicroDeep assigns CNN units to these nodes; the WSN network layer
-    accounts traffic per node.  The optional capacitor turns the node
-    into a harvested zero-energy device (experiment E8).
+    MicroDeep assigns CNN units to these nodes; the traffic they send
+    and receive is tallied by each :class:`~repro.wsn.network.Network`
+    driving the topology, in its own ledger.  The optional capacitor
+    turns the node into a harvested zero-energy device (experiment E8).
 
     ``alive`` and ``position`` are properties that notify the owning
     :class:`~repro.wsn.topology.Topology`: a move writes the node's row
     of its positions array and bumps its geometry counter (the spatial
     index and adjacency rebuild), an ``alive`` flip writes one entry of
     its alive mask and bumps its liveness counter (nothing rebuilds).
-    The hot traffic-counter updates notify nothing.  A node belongs to
-    the topology that bound it last.
+    A node belongs to the topology that bound it last.
     """
 
     def __init__(
@@ -30,21 +30,12 @@ class SensorNode:
         position: Tuple[float, float],
         capacitor: Optional[Capacitor] = None,
         alive: bool = True,
-        tx_count: int = 0,
-        rx_count: int = 0,
-        tx_values: int = 0,
-        rx_values: int = 0,
     ) -> None:
         self._topology = None
         self.node_id = node_id
         self.position = position
         self.capacitor = capacitor
         self.alive = alive
-        #: Cumulative traffic counters maintained by the network layer.
-        self.tx_count = tx_count
-        self.rx_count = rx_count
-        self.tx_values = tx_values
-        self.rx_values = rx_values
 
     # -- topology-notifying fields ------------------------------------------
     @property
@@ -77,16 +68,11 @@ class SensorNode:
         return (
             f"SensorNode(node_id={self.node_id!r}, "
             f"position={self.position!r}, capacitor={self.capacitor!r}, "
-            f"alive={self.alive!r}, tx_count={self.tx_count!r}, "
-            f"rx_count={self.rx_count!r}, tx_values={self.tx_values!r}, "
-            f"rx_values={self.rx_values!r})"
+            f"alive={self.alive!r})"
         )
 
     def _fields(self):
-        return (
-            self.node_id, self.position, self.capacitor, self.alive,
-            self.tx_count, self.rx_count, self.tx_values, self.rx_values,
-        )
+        return self.node_id, self.position, self.capacitor, self.alive
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not SensorNode:
@@ -105,9 +91,3 @@ class SensorNode:
     def fail(self) -> None:
         """Mark the node broken (paper §V: resilient ML with broken devices)."""
         self.alive = False
-
-    def reset_counters(self) -> None:
-        self.tx_count = 0
-        self.rx_count = 0
-        self.tx_values = 0
-        self.rx_values = 0

@@ -9,8 +9,16 @@ from repro.core import (
     UnitGraph,
     grid_correspondence_assignment,
 )
+from repro.core.compiled import HopProgram
 from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, ReLU, Sequential
-from repro.wsn import GridTopology, Message, Network, SensorNode, Topology
+from repro.wsn import (
+    GridTopology,
+    Message,
+    Network,
+    SensorNode,
+    Topology,
+    TrafficStats,
+)
 
 RNG = np.random.default_rng(111)
 
@@ -76,6 +84,56 @@ class TestExecutorWithLossyNetwork:
         np.testing.assert_allclose(out, model.forward(x))
         assert net.stats.dropped > 0
         assert net.stats.delivered + net.stats.dropped == net.stats.sent
+
+
+class TestCountValidation:
+    """Retry and copy counts are non-negative integers, rejected with a
+    ValueError naming the argument where they enter the network."""
+
+    #: One inference sending 4 values over link 0 -> 1.
+    PROGRAM = HopProgram(
+        links={(0, 1): (1, 4)}, sent=1, hops=1, n_transfer_groups=1,
+    )
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, 2.0, "3", None])
+    def test_max_retries_rejected_at_construction(self, bad):
+        with pytest.raises(ValueError, match="max_retries"):
+            Network(GridTopology(2, 2), loss_probability=0.01,
+                    max_retries=bad, rng=np.random.default_rng(0))
+
+    def test_numpy_int_max_retries_passes(self):
+        net = Network(GridTopology(1, 5, comm_range=1.0),
+                      loss_probability=0.01, max_retries=np.int64(2),
+                      rng=np.random.default_rng(0))
+        assert net.max_retries == 2 and type(net.max_retries) is int
+        assert sum(net.unicast(Message(0, 4, 1)) for __ in range(5)) == 5
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(2.0), -1])
+    def test_bulk_copies_rejected(self, bad):
+        net = Network(GridTopology(2, 2))
+        with pytest.raises(ValueError, match="copies"):
+            net.unicast_bulk(Message(0, 3, 4), copies=bad)
+        assert net.stats == TrafficStats()
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(2.0), -1])
+    def test_compiled_copies_rejected(self, bad):
+        net = Network(GridTopology(2, 2))
+        with pytest.raises(ValueError, match="copies"):
+            net.account_compiled(self.PROGRAM, copies=bad)
+        assert net.stats == TrafficStats()
+
+    def test_numpy_int_copies_pass(self):
+        net = Network(GridTopology(1, 3, comm_range=1.0))
+        assert net.unicast_bulk(Message(0, 2, 4), copies=np.int64(3)) == 3
+        assert net.account_compiled(self.PROGRAM, copies=np.int32(2)) == 2
+        stats = net.stats
+        assert (stats.sent, stats.total_hops) == (5, 8)
+        assert stats.links == {(0, 1): [5, 20], (1, 2): [3, 12]}
+        assert all(
+            type(n) is int
+            for cell in stats.links.values() for n in cell
+        )
+        assert type(stats.sent) is int and type(stats.total_hops) is int
 
 
 class TestMessageKinds:

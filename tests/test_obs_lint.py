@@ -34,6 +34,11 @@ Training has one mini-batch loop, :class:`repro.nn.Trainer`'s: it makes
 the only ``<…>.optimizer.step(`` call in ``src/repro`` (a subclass
 such as :class:`~repro.core.MicroDeepTrainer` overrides its backward,
 not the loop).
+
+Traffic has one ledger, ``TrafficStats.links``: only
+``Network._account_hop`` and ``Network.account_compiled`` write it, and
+no module assigns a per-node traffic tally (``tx_count``/``rx_count``/
+``tx_values``/``rx_values`` or a ``per_node_*`` attribute) beside it.
 """
 
 import ast
@@ -817,3 +822,163 @@ def test_optimizer_step_lint_detects_violations():
         "def f(self):\n    return self.optimizer.lr\n",
     ):
         assert optimizer_steps(ast.parse(src)) == [], src
+
+
+#: Per-node traffic tallies the ledger replaced: no module assigns
+#: these attributes (nor into a ``per_node_*`` one).
+_NODE_TALLIES = {"tx_count", "rx_count", "tx_values", "rx_values"}
+#: The functions that write the traffic ledger, ``TrafficStats.links``.
+_LEDGER_WRITERS = [
+    ("wsn/network.py", "Network._account_hop"),
+    ("wsn/network.py", "Network.account_compiled"),
+]
+_LEDGER_MUTATORS = {
+    "setdefault", "update", "pop", "popitem", "clear", "append", "extend",
+}
+
+
+def node_tally_writes(tree):
+    """Line numbers of every assignment to a node tally attribute
+    (``x.tx_count += …``, ``x.per_node_rx_values = …``) or into a
+    ``per_node_*`` one (``x.per_node_rx_values[k] = …``)."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            attr = node.attr
+        elif (isinstance(node, ast.Subscript)
+              and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Attribute)
+              and node.value.attr.startswith("per_node_")):
+            attr = node.value.attr
+        else:
+            continue
+        if attr in _NODE_TALLIES or attr.startswith("per_node_"):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def _from_ledger(expr, aliases):
+    """``expr`` is ``<…>.links``, a local alias of it, or an item, cell
+    or view read from one (``links[k]``, ``links.get(k)``,
+    ``links.values()``)."""
+    while True:
+        if isinstance(expr, ast.Attribute) and expr.attr == "links":
+            return True
+        if isinstance(expr, ast.Name):
+            return expr.id in aliases
+        if isinstance(expr, ast.Subscript):
+            expr = expr.value
+        elif (isinstance(expr, ast.Call)
+              and isinstance(expr.func, ast.Attribute)):
+            expr = expr.func.value
+        else:
+            return False
+
+
+def _writes_ledger(func):
+    """``func`` assigns ``<…>.links``, stores into it or into a cell
+    read from it, or calls a mutating method on either — directly or
+    through local aliases (``links = stats.links``,
+    ``cell = links.get(k)``, ``for cell in links.values()``)."""
+    aliases = set()
+    while True:  # aliases of aliases: iterate to a fixpoint
+        before = len(aliases)
+        for node in ast.walk(func):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr)):
+                targets = getattr(node, "targets", None) or [node.target]
+                value = node.value
+            elif isinstance(node, (ast.For, ast.AsyncFor)):
+                targets, value = [node.target], node.iter
+            else:
+                continue
+            if value is not None and _from_ledger(value, aliases):
+                for target in targets:
+                    aliases |= _bound_names(target)
+        if len(aliases) == before:
+            break
+    for node in ast.walk(func):
+        if (isinstance(node, ast.Attribute) and node.attr == "links"
+                and not isinstance(node.ctx, ast.Load)):
+            return True
+        if (isinstance(node, ast.Subscript)
+                and not isinstance(node.ctx, ast.Load)
+                and _from_ledger(node.value, aliases)):
+            return True
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _LEDGER_MUTATORS
+                and _from_ledger(node.func.value, aliases)):
+            return True
+    return False
+
+
+def ledger_writers(tree):
+    """``Class.function`` (or ``function``) names of the module-level
+    functions and methods that write the ledger, nested code included."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    funcs = []
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            funcs += [(f"{top.name}.{f.name}", f)
+                      for f in top.body if isinstance(f, defs)]
+        elif isinstance(top, defs):
+            funcs.append((top.name, top))
+    return [name for name, func in funcs if _writes_ledger(func)]
+
+
+def test_one_traffic_ledger():
+    """The network's ledger is the one per-hop store, and the lint sees
+    its two writers."""
+    tallies, writers = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        name = path.relative_to(SRC).as_posix()
+        tallies += [(name, line) for line in node_tally_writes(tree)]
+        writers += [(name, func) for func in ledger_writers(tree)]
+    assert tallies == [], (
+        "tally traffic in the network's ledger (TrafficStats.links), not "
+        f"in per-node counters: {tallies}"
+    )
+    assert writers == _LEDGER_WRITERS, (
+        "only Network._account_hop and Network.account_compiled write "
+        f"TrafficStats.links: {writers}"
+    )
+
+
+def test_traffic_ledger_lint_detects_violations():
+    for src in (
+        "def f(node, n):\n    node.tx_count += n\n",
+        "class N:\n    def __init__(self):\n        self.rx_values = 0\n",
+        "def f(stats, k):\n    stats.per_node_rx_values[k] = 1\n",
+        "def f(stats):\n    stats.per_node_tx_values = {}\n",
+    ):
+        assert node_tally_writes(ast.parse(src)), src
+    for src in (
+        "def f(report, k):\n    report.rx_values[k] = 1\n",
+        "def f(node):\n    return node.tx_count\n",
+        "def f(stats):\n    return dict(stats.per_node_rx_values)\n",
+    ):
+        assert node_tally_writes(ast.parse(src)) == [], src
+    for src, want in (
+        ("def f(stats, k):\n    stats.links[k] = [1, 1]\n", "f"),
+        ("def f(stats):\n    stats.links = {}\n", "f"),
+        ("def f(stats, k):\n    stats.links.setdefault(k, [0, 0])[1] += 4\n",
+         "f"),
+        ("def f(stats, k):\n    links = stats.links\n"
+         "    cell = links.get(k)\n    cell[0] += 1\n", "f"),
+        ("def f(stats):\n    for cell in stats.links.values():\n"
+         "        cell[1] = 0\n", "f"),
+        ("class N:\n    def reset(self):\n"
+         "        self.stats.links.clear()\n", "N.reset"),
+    ):
+        assert ledger_writers(ast.parse(src)) == [want], src
+    for src in (
+        "def f(stats):\n    return sum(v for __, v in stats.links.values())\n",
+        "def f(stats, k):\n    cell = stats.links.get(k)\n"
+        "    return cell[1]\n",
+        "def f(stats):\n    per_node = {}\n"
+        "    for (s, d), (p, v) in stats.links.items():\n"
+        "        per_node[d] = per_node.get(d, 0) + v\n"
+        "    return per_node\n",
+    ):
+        assert ledger_writers(ast.parse(src)) == [], src

@@ -115,6 +115,21 @@ class TestCostTables:
         assert network.telemetry_drift() == []
         assert tel.metrics.value("net.sent") == 1
 
+    def test_reconciliation_checks_every_link_member(self):
+        """Each ``net.link_values`` member must equal its ledger cell,
+        including members the ledger does not hold."""
+        tel = obs.Telemetry()
+        network = Network(GridTopology(1, 3, comm_range=1.0), telemetry=tel)
+        network.unicast(Message(0, 2, 4))
+        assert network.telemetry_drift() == []
+        assert network.stats.links == {(0, 1): [1, 4], (1, 2): [1, 4]}
+        family = tel.metrics.counter_family("net.link_values", ("src", "dst"))
+        family.inc([(1, 2), (2, 1)], [1.0, 3.0])
+        assert network.telemetry_drift() == [
+            "registry net.link_values 1->2: 5.0 != ledger 4",
+            "registry net.link_values 2->1: 3.0 != ledger 0",
+        ]
+
     def test_markdown_tables(self, traced_run):
         __, __, events = traced_run
         costs = obs.per_node_costs(events)

@@ -3,6 +3,8 @@ kept pre-optimization reference path — same bytes out, same traffic
 counted.  This is the contract that lets the perf layer optimize
 without invalidating the paper's measured results."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -38,22 +40,10 @@ def make(input_hw=(10, 10), node_grid=(4, 4), filters=2, seed=0):
 
 
 def stats_snapshot(net):
-    """Every counter the network keeps, node counters included."""
-    s = net.stats
-    return {
-        "sent": s.sent,
-        "delivered": s.delivered,
-        "dropped": s.dropped,
-        "corrupted": s.corrupted,
-        "duplicated": s.duplicated,
-        "total_hops": s.total_hops,
-        "rx": dict(s.per_node_rx_values),
-        "tx": dict(s.per_node_tx_values),
-        "node_rx_count": {n.node_id: n.rx_count for n in net.topology},
-        "node_tx_count": {n.node_id: n.tx_count for n in net.topology},
-        "node_rx_values": {n.node_id: n.rx_values for n in net.topology},
-        "node_tx_values": {n.node_id: n.tx_values for n in net.topology},
-    }
+    """A detached copy of the network's whole ``TrafficStats``: every
+    scalar, drop cause, and per-link packet and value tally (the
+    per-node values are folds of the latter)."""
+    return copy.deepcopy(net.stats)
 
 
 STRATEGIES = [

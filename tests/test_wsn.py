@@ -153,9 +153,9 @@ class TestNetwork:
         ok = net.unicast(Message(src=0, dst=2, n_values=5))
         assert ok
         # relay node 1 both received and re-sent the 5 values
-        assert g.node(1).rx_values == 5
-        assert g.node(1).tx_values == 5
-        assert g.node(2).rx_values == 5
+        assert net.stats.per_node_rx_values == {1: 5, 2: 5}
+        assert net.stats.per_node_tx_values == {0: 5, 1: 5}
+        assert net.stats.links == {(0, 1): [1, 5], (1, 2): [1, 5]}
         assert net.stats.total_hops == 2
         assert net.stats.max_rx_values() == 5
 
@@ -194,7 +194,8 @@ class TestNetwork:
         net.unicast(Message(0, 3, 7))
         net.reset_stats()
         assert net.stats.sent == 0
-        assert g.node(3).rx_values == 0
+        assert net.stats.links == {}
+        assert net.stats.rx_values_of(3) == 0
 
     def test_lossy_requires_rng(self):
         with pytest.raises(ValueError):
@@ -207,9 +208,9 @@ class TestNetwork:
         g = GridTopology(3, 3)
         net = Network(g)
         net.unicast(Message(0, 8, n_values))
-        total_tx = sum(n.tx_values for n in g)
-        total_rx = sum(n.rx_values for n in g)
-        assert total_tx == total_rx
+        total_tx = sum(net.stats.per_node_tx_values.values())
+        total_rx = sum(net.stats.per_node_rx_values.values())
+        assert total_tx == total_rx == n_values * net.stats.total_hops
 
 
 class TestTdma:

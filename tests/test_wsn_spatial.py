@@ -248,14 +248,36 @@ class TestEpochInvalidation:
         topo.node(0).position = (0.25, 0.25)
         assert topo.epoch == e0 + 2
 
-    def test_counter_updates_do_not_bump_epoch(self):
-        topo = GridTopology(2, 2)
-        e0 = topo.epoch
-        node = topo.node(0)
-        node.tx_count += 5
-        node.rx_values += 100
-        node.reset_counters()
-        assert topo.epoch == e0
+    def test_traffic_never_bumps_epoch(self):
+        """Traffic lives in the network's ledger: sending, bulk
+        sending and a planned forward leave every topology counter
+        as it was."""
+        from repro.core import (
+            DistributedExecutor,
+            UnitGraph,
+            grid_correspondence_assignment,
+        )
+        from repro.nn import Conv2D, Dense, Flatten, ReLU, Sequential
+
+        topo = GridTopology(3, 3)
+        model = Sequential([Conv2D(2, 3), ReLU(), Flatten(), Dense(2)])
+        model.build((1, 6, 6), np.random.default_rng(0))
+        graph = UnitGraph(model)
+        net = Network(topo)
+        executor = DistributedExecutor(
+            model, graph, grid_correspondence_assignment(graph, topo), net
+        )
+        x = np.random.default_rng(1).normal(size=(2, 1, 6, 6))
+        epochs = (topo.epoch, topo.geometry_epoch, topo.liveness_epoch)
+        executor.forward(x)  # compiles the plan
+        net.unicast(Message(0, 8, 5))
+        net.unicast_bulk(Message(8, 0, 3), copies=4)
+        executor.forward(x)
+        assert executor._compiled_plan is not None
+        assert net.stats.links and net.stats.total_hops > 0
+        assert (topo.epoch, topo.geometry_epoch, topo.liveness_epoch) == (
+            epochs
+        )
 
     def test_cached_graph_memoized_until_mutation(self):
         topo = GridTopology(3, 3)

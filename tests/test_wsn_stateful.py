@@ -15,8 +15,11 @@ that rebuilds everything from the nodes:
   in order);
 - an executor's traffic (``forward``: the compiled plan in steady
   state, the replay otherwise) equals ``replay_traffic_reference`` on
-  a twin deployment given the same mutations — full ``TrafficStats``
-  and every node counter.
+  a twin deployment given the same mutations — the full
+  ``TrafficStats``, per-link ledger included.  While seeded link
+  faults are attached to both networks, the twin runs the event-driven
+  ``forward(x, plan=None)`` instead: the same grouped replay, drawing
+  the same fault verdicts in the same order.
 """
 
 import numpy as np
@@ -34,6 +37,7 @@ from repro.core import (
     UnitGraph,
     grid_correspondence_assignment,
 )
+from repro.faults import LinkFaultModel
 from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, ReLU, Sequential
 from repro.wsn import (
     GridTopology,
@@ -137,13 +141,6 @@ def _deployment():
     )
 
 
-def _traffic(network):
-    return network.stats, [
-        (n.tx_count, n.rx_count, n.tx_values, n.rx_values)
-        for n in network.topology
-    ]
-
-
 class ExecutorMachine(RuleBasedStateMachine):
     """A 3x3 grid executor and its twin under the same mutations."""
 
@@ -173,14 +170,30 @@ class ExecutorMachine(RuleBasedStateMachine):
             x, y = target.position
             target.position = (x + dx, y + dy)
 
+    @rule(seed=st.integers(0, 2**16))
+    def attach_link_faults(self, seed):
+        for network in (self.network, self.twins[1]):
+            network.link_faults = LinkFaultModel(
+                loss_rate=0.2, corrupt_rate=0.1, duplicate_rate=0.1,
+                seed=seed,
+            )
+
+    @rule()
+    def detach_link_faults(self):
+        for network in (self.network, self.twins[1]):
+            network.link_faults = None
+
     @invariant()
     def traffic_matches_reference(self):
         __, twin_network, twin = self.twins
         self.network.reset_stats()
         twin_network.reset_stats()
         self.executor.forward(self.x)
-        twin.replay_traffic_reference(self.x.shape[0])
-        assert _traffic(self.network) == _traffic(twin_network)
+        if twin_network.link_faults is None:
+            twin.replay_traffic_reference(self.x.shape[0])
+        else:
+            twin.forward(self.x, plan=None)
+        assert self.network.stats == twin_network.stats
 
 
 TestTopologyMachine = SETTINGS(TopologyMachine).TestCase
