@@ -91,7 +91,11 @@ class Conv2D(ParamLayer):
         out_h, out_w = conv_output_hw(h, w, self.kh, self.kw, self.stride, self.pad)
         col = im2col_cached(x, self.kh, self.kw, self.stride, self.pad)
         w_flat = self._params["W"].reshape(self.filters, -1).T
-        out = col @ w_flat + self._params["b"]
+        # One C-ordered product per row: BLAS picks its kernel by GEMM
+        # shape and layout, so a flat product (or im2col's one-row view)
+        # would let a row's last-ulp bits depend on its batch.
+        rows = np.ascontiguousarray(col).reshape(n, out_h * out_w, col.shape[1])
+        out = np.matmul(rows, w_flat) + self._params["b"]
         out = out.reshape(n, out_h, out_w, self.filters).transpose(0, 3, 1, 2)
         if training:
             self._cache = (x.shape, col)

@@ -35,7 +35,8 @@ class Dense(ParamLayer):
         return (self.units,)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        out = x @ self._params["W"] + self._params["b"]
+        # One product per row, so a row's bits never depend on its batch.
+        out = np.matmul(x[:, None, :], self._params["W"])[:, 0] + self._params["b"]
         if training:
             self._cache = x
         return out

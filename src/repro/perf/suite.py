@@ -194,8 +194,8 @@ _FORWARDS_PER_RUN = 50
 def bench_forward_plan(protocol: BenchProtocol, seed: int, quick: bool) -> Dict:
     """Compiled-plan forward vs. the event-driven oracle.
 
-    The workload is pinned to the per-request operating point (small
-    batch — how ``repro serve`` runs inference), where the event path's
+    The workload is pinned to a small batch (8 rows, a full serve
+    lane at the default ``--max-batch``), where the event path's
     cost is dominated by its per-transfer-group replay — one
     ``unicast_bulk`` per group, each walking its memoized route hop by
     hop through the accounting choke point — which is

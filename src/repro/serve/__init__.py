@@ -44,7 +44,6 @@ from repro.serve.loadgen import HttpClient, LoadReport, run_load
 from repro.serve.tenants import (
     MAX_TRAIN_EXAMPLE_EPOCHS,
     SCENARIOS,
-    SERVE_BATCH,
     ScenarioSpec,
     Tenant,
     TenantConfig,
@@ -67,7 +66,6 @@ __all__ = [
     "MAX_TRAIN_EXAMPLE_EPOCHS",
     "PlainFuture",
     "SCENARIOS",
-    "SERVE_BATCH",
     "ScenarioSpec",
     "ServeApp",
     "ServeResult",

@@ -47,8 +47,9 @@ Endpoints:
     In-flight requests queued for the old tenant are served by the
     new one (see :class:`~repro.serve.tenants.TenantPool`).
 
-Status codes: 400 malformed JSON/input or tenant config, 404 unknown
-route or tenant, 405 wrong method, 503 overloaded or shutting down.
+Status codes: 400 malformed JSON/input (non-finite values included),
+non-finite logits or a bad tenant config, 404 unknown route or
+tenant, 405 wrong method, 503 overloaded or shutting down.
 Every error body is ``{"error": ..., "detail": ...}``.  A request the
 parser cannot frame (a bad request line or target, a line over the
 reader's 64 KiB limit, a ``Content-Length`` that is not ASCII digits
@@ -570,6 +571,8 @@ class ServeApp:
             x = np.asarray(payload["input"], dtype=np.float64)
         except (TypeError, ValueError, OverflowError) as exc:
             raise _BadRequest(400, "malformed-input", str(exc))
+        if not np.isfinite(x).all():  # json reads Infinity, NaN, 1e999
+            raise _BadRequest(400, "malformed-input", "non-finite value")
         if x.shape == tenant.input_shape[1:] and tenant.input_shape[0] == 1:
             x = x[np.newaxis]
         if x.shape != tenant.input_shape:
@@ -578,6 +581,8 @@ class ServeApp:
                 f"expected {list(tenant.input_shape)}, got {list(x.shape)}",
             )
         result = await self.dispatcher.submit(tenant_name, x)
+        if not np.isfinite(result.logits).all():  # strict JSON has no inf
+            raise _BadRequest(400, "non-finite-logits", "forward overflowed")
         return json.dumps({
             "tenant": result.tenant,
             "logits": result.logits.tolist(),

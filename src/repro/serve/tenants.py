@@ -11,21 +11,15 @@ dispatcher and HTTP layer resolve tenants from.
 Serving contract (bitwise batch invariance)
 -------------------------------------------
 
-:meth:`Tenant.infer` always hands the executor batches of **exactly**
-:data:`SERVE_BATCH` rows: a micro-batch shorter than that is padded
-with copies of its last row (pad rows discarded from the output), and
-a longer one is chunked in submit order.  BLAS picks its kernel and
-blocking from the GEMM shape, so the same request's logits can differ
-at the last ulp between a batch-of-2 and a batch-of-12 forward — but
-at a *fixed* batch shape a row's result depends only on its own input
-(verified for position and for the other rows' content).  Pinning the
-shape therefore makes a request's logits **byte-identical however the
-dispatcher coalesced it** — the property the serving test suite pins
-(multiset-of-logits equality against the serial baseline for any
-interleaving, and served-over-HTTP equal to a direct forward).
+``Conv2D`` and ``Dense`` compute each row with its own fixed-shape
+product, so a row's output depends only on that row and the weights.
+:meth:`Tenant.infer` forwards a micro-batch exactly as coalesced, and
+each request's logits are **byte-identical** to its row forwarded
+alone, however the dispatcher batched it.  The serving tests pin this
+(any chunking equals each row alone; any interleaving equals the
+serial baseline; served over HTTP equals a direct forward).
 
-Traffic is accounted for the *real* request count, never the pad row:
-the math runs through the executor's layer loop alone
+The math runs through the executor's layer loop alone
 (:meth:`~repro.core.DistributedExecutor.forward_hooked`) and the
 accounting is applied once per micro-batch by
 :meth:`~repro.core.DistributedExecutor.account_traffic` — one bulk
@@ -50,11 +44,9 @@ from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, ReLU, SGD, Sequential
 from repro.wsn.network import Network
 from repro.wsn.topology import GridTopology
 
-#: Every executor forward runs at exactly this many rows — shorter
-#: micro-batches are padded with row copies, longer ones chunked — so
-#: the GEMM shapes (and with them each row's bit pattern) never depend
-#: on how requests were coalesced.  See the module docstring.
-SERVE_BATCH = 8
+#: Rows computed per requested row (a forward computes exactly its
+#: rows); ``perfbench/run.py`` reads it for ``useful_rows_ratio``.
+SERVE_BATCH = 1
 
 #: Most ``train_epochs × train_samples`` a ``POST /v1/tenants`` config
 #: may ask for (32× the CLI default of 2 × 64).  The hot-swap trains on
@@ -191,7 +183,7 @@ class Tenant:
         #: single-inference input shape, ``(channels, h, w)``.
         self.input_shape: Tuple[int, ...] = (1,) + tuple(spec.field_hw)
         self.labels = spec.labels
-        #: requests served (not padded rows); the pool's health report.
+        #: requests served; the pool's health report.
         self.served = 0
 
     def fault_state(self) -> Optional[str]:
@@ -201,30 +193,20 @@ class Tenant:
         return self.executor.fallback_reason()
 
     def direct_forward(self, x: np.ndarray) -> np.ndarray:
-        """Forward ``x`` in chunks of exactly :data:`SERVE_BATCH` rows
-        (short chunks padded with copies of their last row), traffic
-        untouched; returns one logits row per input row.  The serving
+        """One logits row per row of ``x``, traffic untouched.  Each
+        row's bytes are those of that row forwarded alone; the serving
         path runs this, so it is also the serial parity baseline."""
-        k = int(x.shape[0])
-        rows = []
-        for start in range(0, k, SERVE_BATCH):
-            chunk = x[start:start + SERVE_BATCH]
-            c = int(chunk.shape[0])
-            if c < SERVE_BATCH:
-                pad = np.repeat(chunk[-1:], SERVE_BATCH - c, axis=0)
-                chunk = np.concatenate([chunk, pad], axis=0)
-            rows.append(self.executor.forward_hooked(chunk)[:c])
-        return rows[0] if len(rows) == 1 else np.concatenate(rows, axis=0)
+        return self.executor.forward_hooked(x)
 
     def infer(self, x: np.ndarray) -> Tuple[np.ndarray, str]:
         """Serve one micro-batch; returns ``(logits, served_by)``.
 
         ``x`` is the stacked batch ``(k, channels, h, w)``.  The
-        returned logits carry exactly ``k`` rows, each bitwise
-        independent of how the dispatcher batched it (see the module
-        docstring); ``served_by`` is ``"plan"`` or
+        returned logits carry exactly ``k`` rows, each byte-identical
+        to its row forwarded alone, however the dispatcher batched it
+        (see the module docstring); ``served_by`` is ``"plan"`` or
         ``"fallback:<reason>"``.  Traffic for exactly ``k`` inferences
-        is accounted on the tenant's network — never the pad rows.
+        is accounted on the tenant's network.
         """
         k = int(x.shape[0])
         logits = self.direct_forward(x)

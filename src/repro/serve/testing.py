@@ -166,8 +166,8 @@ class ServeHarness:
 
     # -- assertions helpers --------------------------------------------------
     def direct(self, tenant: str, xs: Sequence[np.ndarray]) -> np.ndarray:
-        """Serial baseline logits for ``xs`` (stacked direct forward
-        on the tenant's executor; bitwise comparable to served rows)."""
+        """Serial baseline logits for ``xs`` (one stacked direct forward
+        on the tenant's executor; bitwise equal to each row served)."""
         return self.pool.require(tenant).direct_forward(
             np.stack(list(xs), axis=0)
         )

@@ -63,12 +63,15 @@ def _nonzero(keys: list, amounts: np.ndarray) -> Tuple[list, np.ndarray]:
 
 @dataclass
 class Message:
-    """A unicast application message."""
+    """A unicast application message (``n_values`` checked on construction)."""
 
     src: int
     dst: int
     n_values: int  # number of scalar values carried (MicroDeep's unit)
     kind: str = "data"
+
+    def __post_init__(self) -> None:
+        self.n_values = _count("n_values", self.n_values)
 
 
 @dataclass

@@ -87,8 +87,8 @@ class TestExecutorWithLossyNetwork:
 
 
 class TestCountValidation:
-    """Retry and copy counts are non-negative integers, rejected with a
-    ValueError naming the argument where they enter the network."""
+    """Retry, copy and value counts are non-negative integers, rejected
+    with a ValueError naming the argument where they enter the network."""
 
     #: One inference sending 4 values over link 0 -> 1.
     PROGRAM = HopProgram(
@@ -122,9 +122,19 @@ class TestCountValidation:
             net.account_compiled(self.PROGRAM, copies=bad)
         assert net.stats == TrafficStats()
 
+    @pytest.mark.parametrize("bad", [-2, 2.5, 2.0, np.float64(3), "4", None])
+    def test_message_values_rejected_at_construction(self, bad):
+        with pytest.raises(ValueError, match="n_values"):
+            Message(0, 3, bad)
+        net = Network(GridTopology(2, 2))
+        with pytest.raises(ValueError, match="n_values"):
+            net.broadcast_from(0, n_values=bad)
+        assert net.stats == TrafficStats()
+
     def test_numpy_int_copies_pass(self):
         net = Network(GridTopology(1, 3, comm_range=1.0))
-        assert net.unicast_bulk(Message(0, 2, 4), copies=np.int64(3)) == 3
+        message = Message(0, 2, np.int64(4))
+        assert net.unicast_bulk(message, copies=np.int64(3)) == 3
         assert net.account_compiled(self.PROGRAM, copies=np.int32(2)) == 2
         stats = net.stats
         assert (stats.sent, stats.total_hops) == (5, 8)

@@ -17,8 +17,10 @@ from repro.serve import (
     BatchPolicy,
     DispatcherClosed,
     PlainFuture,
+    TenantConfig,
     TenantOverloaded,
     UnknownTenant,
+    build_tenant,
 )
 from repro.serve.testing import FakeClock, ServeHarness
 
@@ -150,6 +152,26 @@ class TestBatchingWindows:
         assert result.pred == int(result.logits.argmax())
         assert result.label == h.pool.require("fall").labels[result.pred]
         assert result.served_by == "plan"
+
+
+class TestBatchInvariance:
+    """A row's logits are the bytes of that row forwarded alone through
+    the model, however the requests around it were chunked."""
+
+    @pytest.mark.parametrize("scenario", ["fall", "hvac", "congestion"])
+    def test_any_chunking_equals_each_row_alone(self, scenario):
+        tenant = build_tenant(TenantConfig(name=scenario, scenario=scenario))
+        x = np.random.default_rng(5).normal(size=(64,) + tenant.input_shape)
+        alone = np.concatenate(
+            [tenant.model.forward(x[i:i + 1]) for i in range(64)]
+        )
+        for size in (1, 2, 3, 5, 7, 8, 11, 64):
+            chunks = [x[s:s + size] for s in range(0, 64, size)]
+            direct = np.concatenate([tenant.direct_forward(c) for c in chunks])
+            served = np.concatenate([tenant.infer(c)[0] for c in chunks])
+            assert direct.tobytes() == alone.tobytes(), size
+            assert served.tobytes() == alone.tobytes(), size
+        assert tenant.served == 8 * 64
 
 
 class TestTenantIsolation:

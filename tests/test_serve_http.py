@@ -337,6 +337,19 @@ async def exchange(port: int, data: bytes, timeout: float = 10.0):
     return int(lines[0].split()[1]), headers, body
 
 
+def _fall_body(first=None, scale: float = 1.0) -> bytes:
+    """A recognize body for the fall tenant's 8x8 input: seeded
+    uniform(-1, 1) cells times ``scale``, the first cell's JSON text
+    replaced by ``first`` when given."""
+    rng = np.random.default_rng(3)
+    cells = [repr(v) for v in (rng.uniform(-1, 1, 64) * scale).tolist()]
+    if first is not None:
+        cells[0] = first
+    rows = ", ".join("[" + ", ".join(cells[i:i + 8]) + "]"
+                     for i in range(0, 64, 8))
+    return f'{{"tenant": "fall", "input": [{rows}]}}'.encode()
+
+
 class TestParserErrors:
     """Input the parser cannot frame is answered with a typed 400 and
     ``Connection: close`` — never an empty close — and the server
@@ -414,10 +427,19 @@ class TestParserErrors:
         # An integer too large for a float64 (OverflowError).
         (b'{"tenant": "fall", "input": [' + b"9" * 400 + b"]}",
          "malformed-input"),
+        # Non-finite values Python's json accepts but strict JSON has
+        # no literal for, in an input of the tenant's shape.
+        (_fall_body("Infinity"), "malformed-input"),
+        (_fall_body("-Infinity"), "malformed-input"),
+        (_fall_body("NaN"), "malformed-input"),
+        (_fall_body("1e999"), "malformed-input"),
+        # A finite input whose forward overflows float64.
+        (_fall_body(scale=1.7e308), "non-finite-logits"),
     ])
     def test_unparseable_recognize_body(self, body, error):
-        """A framed request whose JSON or numbers cannot be decoded is
-        a 400 on a connection that stays open."""
+        """A framed request whose JSON or numbers cannot be decoded, or
+        whose logits would not be finite, is a 400 on a connection that
+        stays open."""
         async def test(app, client):
             status, __, raw = await client.request(
                 "POST", "/v1/recognize", body
