@@ -22,23 +22,29 @@ Two update modes:
   layers see truncated error signals.  No gradient messages are
   exchanged at all.
 
-Two implementations of the ``"local"`` backward coexist, both reading
-one stack of per-node masks per layer — built at construction time by
-comparing the :class:`~repro.core.placement_index.PlacementIndex`
-owner arrays against the layer's hosting nodes (ascending):
+Two implementations of the ``"local"`` backward coexist, both built
+at construction from the
+:class:`~repro.core.placement_index.PlacementIndex` owner arrays:
 
-- the **vectorized** path (default): the node axis of the stack is
-  folded into the batch axis, and each masked layer runs **one**
-  batched kernel (:meth:`repro.nn.layers.base.Layer.backward_nodes`)
-  over the ``(n_nodes · batch, …)`` masked gradients, followed by a
-  masked scatter-reduce over the node axis.  Parameter gradients are
-  accumulated once from the node-collapsed gradient — exactly the sum
-  of the per-node masked gradients, because every output slot is owned
-  by one node.
+- the **vectorized** path (default): each masked layer runs **one**
+  kernel over the batch
+  (:meth:`repro.nn.layers.base.Layer.backward_nodes`).  Its input
+  gradient keeps only the edges between an input slot and an output
+  slot hosted by the same node — the layer's *edge mask*, built once
+  per layer (for windows, the im2col of the input-owner grid compared
+  with the output owners).  That adds exactly the nonzero terms of the
+  per-node loop, in its order, so input gradients equal the loop's bit
+  for bit, up to the sign of a zero.  Parameter gradients accumulate
+  once from the live gradient (the slots of down nodes zeroed), which
+  is the sum of the per-node masked gradients because every output
+  slot is owned by one node.  Nothing below the first layer with
+  parameters is computed: that layer returns no input gradient, and
+  the layers under it only report their down nodes.
 - the **reference** path (``backward_impl="reference"`` /
   :meth:`MicroDeepTrainer._backward_reference`): the original loop
-  calling one full ``layer.backward`` per row of the stack — the
-  parity oracle the tests pin the vectorized path against.
+  calling one full ``layer.backward`` per hosting node on a stack of
+  per-node masks — the parity oracle the tests pin the vectorized path
+  against.
 """
 
 from __future__ import annotations
@@ -50,34 +56,44 @@ import numpy as np
 from repro.core.assignment import Placement
 from repro.core.placement_index import PlacementIndex
 from repro.core.unitgraph import LayerUnits, UnitGraph
+from repro.nn.layers.im2col import im2col
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.optimizers import Optimizer
 from repro.nn.training import Trainer
 
 
 class _StackedMasks:
-    """One layer's per-node masks as stacked tensors.
+    """One masked layer's placement masks.
 
     ``nodes`` lists the layer's hosting nodes, ascending; ``out_masks``
-    / ``in_masks`` stack their masks in that order along a leading node
-    axis shaped to broadcast against ``grad[np.newaxis]`` (spatial:
-    ``(n_nodes, 1, 1, H, W)``; dense: ``(n_nodes, 1, U)``).
+    / ``in_masks`` stack their per-node masks in that order along a
+    leading node axis shaped to broadcast against ``grad[np.newaxis]``
+    (spatial: ``(n_nodes, 1, 1, H, W)``; dense: ``(n_nodes, 1, U)``) —
+    the reference loop iterates them.  ``keep`` is the same-owner edge
+    mask the vectorized path passes to
+    :meth:`~repro.nn.layers.base.Layer.backward_nodes`.
     """
 
-    __slots__ = ("nodes", "out_masks", "in_masks")
+    __slots__ = ("nodes", "out_masks", "in_masks", "keep")
 
     def __init__(self, index: PlacementIndex, entry: LayerUnits) -> None:
         owners = index.layers[entry.index]
+        in_owner = index.input_owner(entry.index)
         column = owners.nodes[:, np.newaxis]
         out_masks = (owners.owner == column).astype(float)
-        in_masks = (index.input_owner(entry.index) == column).astype(float)
+        in_masks = (in_owner == column).astype(float)
         n = column.shape[0]
         if entry.kind == "spatial":
             self.out_masks = out_masks.reshape((n, 1, 1) + entry.out_hw)
             self.in_masks = in_masks.reshape((n, 1, 1) + entry.in_hw)
+            # Shift owners by one so the zero padding owns nothing.
+            grid = (in_owner + 1).reshape((1, 1) + entry.in_hw)
+            reads = im2col(grid, *entry.layer.window)
+            self.keep = (reads == owners.owner[:, np.newaxis] + 1).astype(float)
         else:
             self.out_masks = out_masks.reshape(n, 1, -1)
             self.in_masks = in_masks.reshape(n, 1, -1)
+            self.keep = (in_owner[:, np.newaxis] == owners.owner).astype(float)
         self.nodes: List[int] = owners.nodes.tolist()
 
 
@@ -135,8 +151,8 @@ class MicroDeepTrainer(Trainer):
         self.update_mode = update_mode
         self.fault_adapter = fault_adapter
         self.backward_impl = backward_impl
-        # Placement is frozen for the trainer's lifetime, so the mask
-        # stacks are built exactly once and never invalidated.
+        # Placement is frozen for the trainer's lifetime, so the masks
+        # are built exactly once and never invalidated.
         self._stacked: Optional[Dict[int, _StackedMasks]] = None
         if update_mode == "local":
             index = PlacementIndex(graph, placement)
@@ -145,6 +161,11 @@ class MicroDeepTrainer(Trainer):
                 for entry in graph.layers
                 if entry.kind != "flatten" and not entry.layer.is_elementwise
             }
+            # No gradient is read below the first layer with parameters.
+            self._first_param = next(
+                (e.index for e in graph.layers if e.layer.params()),
+                len(graph.layers),
+            )
 
     # -- backward ------------------------------------------------------------
     def _backward(self, grad: np.ndarray) -> None:
@@ -165,51 +186,42 @@ class MicroDeepTrainer(Trainer):
             run(grad)
 
     def _backward_vectorized(self, grad: np.ndarray) -> None:
-        """The batched ``"local"`` backward (see module docstring)."""
+        """The one-kernel-per-layer ``"local"`` backward (see module
+        docstring)."""
         down = self.fault_adapter.down_nodes() if self.fault_adapter else None
         for entry in reversed(self.graph.layers):
             grad = self._layer_backward_batched(entry, grad, down)
 
     def _layer_backward_batched(
-        self, entry: LayerUnits, grad: np.ndarray, down
-    ) -> np.ndarray:
-        """One layer of the vectorized local backward.
+        self, entry: LayerUnits, grad: Optional[np.ndarray], down
+    ) -> Optional[np.ndarray]:
+        """One layer of the vectorized local backward; returns the
+        gradient for the layer below (None below the first layer with
+        parameters, where nothing is computed).
 
-        Layers that do not cut gradient flow backpropagate the
-        collapsed gradient directly; masked layers run one batched
-        kernel over the node-stacked masked gradients and scatter-
-        reduce the result over the node axis.  All sums over the node
-        axis are exact — the masks are disjoint, so each slot adds one
-        value and zeros.
+        A masked layer reports its down nodes, zeroes the output slots
+        they host and runs one ``backward_nodes`` kernel; other layers
+        backpropagate directly.
         """
         layer = entry.layer
-        if entry.kind == "flatten" or layer.is_elementwise:
+        masks = self._stacked.get(entry.index)
+        dead = []
+        if masks is not None and down:
+            dead = [i for i, node in enumerate(masks.nodes) if node in down]
+            for i in dead:
+                self.fault_adapter.on_update_skipped(
+                    entry.index, masks.nodes[i]
+                )
+        if entry.index < self._first_param:
+            return None
+        if masks is None:
             return layer.backward(grad)
-        stack = self._stacked[entry.index]
-        out_masks = stack.out_masks
-        grad_param = grad
-        if down:
-            skipped = [node for node in stack.nodes if node in down]
-            for node in skipped:
-                self.fault_adapter.on_update_skipped(entry.index, node)
-            if skipped:
-                # Dead nodes become zeroed rows in the stacked mask;
-                # the collapsed parameter gradient shrinks to the
-                # union of the surviving (disjoint) out-masks.
-                live = np.array(
-                    [node not in down for node in stack.nodes],
-                    dtype=grad.dtype,
-                ).reshape((-1,) + (1,) * (out_masks.ndim - 1))
-                out_masks = out_masks * live
-                grad_param = grad * out_masks.sum(axis=0)
-        n_nodes = len(stack.nodes)
-        batch = grad.shape[0]
-        stacked = (grad[np.newaxis] * out_masks).reshape(
-            (n_nodes * batch,) + grad.shape[1:]
-        )
-        grad_in = layer.backward_nodes(stacked, grad_param)
-        grad_in = grad_in.reshape((n_nodes, batch) + grad_in.shape[1:])
-        return (grad_in * stack.in_masks).sum(axis=0)
+        if dead:
+            # The out-masks are disjoint: 1 - the dead ones' sum is 1
+            # exactly on the live slots.
+            grad = grad * (1.0 - masks.out_masks[dead].sum(axis=0))
+        keep = masks.keep if entry.index > self._first_param else None
+        return layer.backward_nodes(grad, keep)
 
     def _backward_reference(self, grad: np.ndarray) -> None:
         """The retained per-node ``"local"`` loop — parity oracle for

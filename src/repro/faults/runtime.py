@@ -18,14 +18,14 @@ Three pieces plug the fault layer into the existing stack:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Set
+from typing import Callable, Dict, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.executor import DistributedExecutor
 from repro.core.placement_index import INPUT
 from repro.faults.plan import FaultPlan
-from repro.faults.trace import FaultTrace
+from repro.faults.trace import FaultTrace, TraceRecord
 from repro.sim.engine import Simulator
 from repro.wsn.network import Message
 from repro.wsn.topology import Topology
@@ -218,6 +218,9 @@ class ResilientExecutor:
             return False
         latency = self.policy.attempt_latency_s * self.tracker.clock_factor(src)
         deadline = sim.now + self.policy.timeout_s
+        message = Message(
+            src=src, dst=dst, n_values=n_values, kind=f"layer{layer_index}"
+        )
         tel = self._telemetry
         for attempt in range(self.policy.max_retries + 1):
             if attempt > 0 and tel.enabled:
@@ -235,11 +238,7 @@ class ResilientExecutor:
                     layer=layer_index, src=src, dst=dst, attempt=attempt,
                 )
                 return False
-            delivered = self.executor.network.unicast(
-                Message(src=src, dst=dst, n_values=n_values,
-                        kind=f"layer{layer_index}")
-            )
-            if delivered:
+            if self.executor.network.unicast(message):
                 if attempt > 0:
                     trace.record(
                         sim.now, "retry.recovered",
@@ -372,7 +371,13 @@ class ResilientExecutor:
 class TrainingFaultAdapter:
     """Bridges the fault runtime into
     :class:`repro.core.MicroDeepTrainer`: nodes currently down skip
-    their local weight updates, and each skip is logged."""
+    their local weight updates, and each skip is logged.
+
+    Every training step skips the same ``(layer, node)`` pairs while
+    the down set holds, so the skips logged at one clock value share
+    one frozen record per pair: the trace still gets one entry per
+    skip, but not one new object.
+    """
 
     def __init__(
         self,
@@ -389,15 +394,25 @@ class TrainingFaultAdapter:
 
             telemetry = current()
         self._telemetry = telemetry
+        #: ``(layer, node) -> record`` of the skips logged at clock
+        #: value ``_skips_at``.
+        self._skips_at: Optional[float] = None
+        self._skips: Dict[Tuple[int, int], TraceRecord] = {}
 
     def down_nodes(self) -> Set[int]:
         return self.tracker.down_nodes()
 
     def on_update_skipped(self, layer_index: int, node: int) -> None:
-        self.trace.record(
-            self.clock(), "degrade.update-skipped",
-            layer=layer_index, node=node,
-        )
+        now = self.clock()
+        if now != self._skips_at:
+            self._skips_at, self._skips = now, {}
+        rec = self._skips.get((layer_index, node))
+        if rec is None:
+            self._skips[(layer_index, node)] = self.trace.record(
+                now, "degrade.update-skipped", layer=layer_index, node=node,
+            )
+        else:
+            self.trace.append(rec)
         tel = self._telemetry
         if tel.enabled:
             tel.tracer.instant(

@@ -79,6 +79,11 @@ class FaultTrace:
         self._records.append(rec)
         return rec
 
+    def append(self, rec: TraceRecord) -> None:
+        """Append an existing record again (records are frozen, so one
+        event repeated at one instant can share a single object)."""
+        self._records.append(rec)
+
     def of_kind(self, prefix: str) -> List[TraceRecord]:
         """Records whose kind equals or starts with ``prefix``
         (``"fault"`` matches ``"fault.crash"``)."""

@@ -46,22 +46,25 @@ class Layer:
         raise NotImplementedError
 
     def backward_nodes(
-        self, grad_stack: np.ndarray, grad_param: np.ndarray
-    ) -> np.ndarray:
-        """Batched per-node backward for distributed local training.
+        self, grad_out: np.ndarray, keep: Optional[np.ndarray]
+    ) -> Optional[np.ndarray]:
+        """Local backward for distributed training: each node
+        backpropagates only through the units it hosts.
 
-        ``grad_stack`` holds one masked output gradient per hosting
-        node, folded into the batch axis: ``(n_nodes * batch, *out)``.
-        ``grad_param`` is the node-collapsed ``(batch, *out)`` gradient
-        (the per-node masked gradients sum to it exactly — each output
-        slot is owned by one node) used for the single parameter
-        accumulation.  Returns ``(n_nodes * batch, *in)`` input
-        gradients, row blocks byte-identical to one :meth:`backward`
-        call per node.  Requires a prior ``forward(training=True)``
-        with the un-stacked batch.
+        Parameter gradients accumulate from ``grad_out`` exactly as in
+        :meth:`backward`.  The input gradient keeps only the edges
+        ``keep`` marks — those between an input slot and an output slot
+        hosted by the same node: ``(out_h*out_w, kh*kw)`` per window
+        position and kernel offset for sliding-window layers,
+        ``(in_units, units)`` for dense ones.  That adds the nonzero
+        terms of the per-node sum ``in_mask * backward(grad_out *
+        out_mask)`` in the same order, so the result equals it bit for
+        bit, up to the sign of a zero.  With ``keep=None`` no input
+        gradient is computed and None is returned (nothing below reads
+        it).  Requires a prior ``forward(training=True)``.
         """
         raise NotImplementedError(
-            f"{type(self).__name__} has no batched per-node backward"
+            f"{type(self).__name__} has no local backward"
         )
 
     def output_shape(self, input_shape: tuple) -> tuple:

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.nn import initializers
 from repro.nn.layers.base import ParamLayer, SpatialDeps
-from repro.nn.layers.im2col import col2im_cached, conv_output_hw, im2col_cached
+from repro.nn.layers.im2col import (
+    col2im_cached,
+    col2im_kept,
+    conv_output_hw,
+    im2col_cached,
+)
 
 
 class Conv2D(ParamLayer):
@@ -51,6 +56,11 @@ class Conv2D(ParamLayer):
             return 0
         return (self.kh - 1) // 2
 
+    @property
+    def window(self) -> Tuple[int, int, int, int]:
+        """``(kh, kw, stride, pad)`` of the sliding window."""
+        return self.kh, self.kw, self.stride, self.pad
+
     def build(self, input_shape: tuple, rng: np.random.Generator) -> None:
         super().build(input_shape, rng)
         in_c = input_shape[0]
@@ -60,7 +70,7 @@ class Conv2D(ParamLayer):
 
     def output_shape(self, input_shape: tuple) -> tuple:
         __, h, w = input_shape
-        out_h, out_w = conv_output_hw(h, w, self.kh, self.kw, self.stride, self.pad)
+        out_h, out_w = conv_output_hw(h, w, *self.window)
         return (self.filters, out_h, out_w)
 
     @property
@@ -72,7 +82,7 @@ class Conv2D(ParamLayer):
         field of input positions."""
         h, w = input_hw
         pad = self.pad
-        out_h, out_w = conv_output_hw(h, w, self.kh, self.kw, self.stride, pad)
+        out_h, out_w = conv_output_hw(h, w, *self.window)
         deps: SpatialDeps = {}
         for oy in range(out_h):
             for ox in range(out_w):
@@ -88,8 +98,8 @@ class Conv2D(ParamLayer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         n, c, h, w = x.shape
-        out_h, out_w = conv_output_hw(h, w, self.kh, self.kw, self.stride, self.pad)
-        col = im2col_cached(x, self.kh, self.kw, self.stride, self.pad)
+        out_h, out_w = conv_output_hw(h, w, *self.window)
+        col = im2col_cached(x, *self.window)
         w_flat = self._params["W"].reshape(self.filters, -1).T
         # One C-ordered product per row: BLAS picks its kernel by GEMM
         # shape and layout, so a flat product (or im2col's one-row view)
@@ -101,38 +111,32 @@ class Conv2D(ParamLayer):
             self._cache = (x.shape, col)
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def _accumulate(self, grad_out: np.ndarray) -> np.ndarray:
+        """Add ``grad_out``'s parameter gradients; return it as
+        ``(positions, filters)`` rows."""
         if self._cache is None:
             raise RuntimeError("backward called before forward(training=True)")
-        x_shape, col = self._cache
-        n, __, out_h, out_w = grad_out.shape
+        __, col = self._cache
         grad_flat = grad_out.transpose(0, 2, 3, 1).reshape(-1, self.filters)
         self._grads["b"] += grad_flat.sum(axis=0)
         grad_w = col.T @ grad_flat
         self._grads["W"] += grad_w.T.reshape(self._params["W"].shape)
-        w_flat = self._params["W"].reshape(self.filters, -1)
-        grad_col = grad_flat @ w_flat
-        return col2im_cached(
-            grad_col, x_shape, self.kh, self.kw, self.stride, self.pad
+        return grad_flat
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        grad_col = self._accumulate(grad_out) @ self._params["W"].reshape(
+            self.filters, -1
         )
+        return col2im_cached(grad_col, self._cache[0], *self.window)
 
     def backward_nodes(
-        self, grad_stack: np.ndarray, grad_param: np.ndarray
-    ) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward(training=True)")
-        x_shape, col = self._cache
-        __, c, h, w = x_shape
-        m = grad_stack.shape[0]
-        pflat = grad_param.transpose(0, 2, 3, 1).reshape(-1, self.filters)
-        self._grads["b"] += pflat.sum(axis=0)
-        self._grads["W"] += (col.T @ pflat).T.reshape(self._params["W"].shape)
-        w_flat = self._params["W"].reshape(self.filters, -1)
-        grad_flat = grad_stack.transpose(0, 2, 3, 1).reshape(-1, self.filters)
-        grad_col = grad_flat @ w_flat
-        return col2im_cached(
-            grad_col, (m, c, h, w), self.kh, self.kw, self.stride, self.pad
-        )
+        self, grad_out: np.ndarray, keep: Optional[np.ndarray]
+    ) -> Optional[np.ndarray]:
+        grad_flat = self._accumulate(grad_out)
+        if keep is None:
+            return None
+        grad_col = grad_flat @ self._params["W"].reshape(self.filters, -1)
+        return col2im_kept(grad_col, self._cache[0], keep, *self.window)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.nn import initializers
@@ -41,23 +43,23 @@ class Dense(ParamLayer):
             self._cache = x
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def _accumulate(self, grad_out: np.ndarray) -> None:
         if self._cache is None:
             raise RuntimeError("backward called before forward(training=True)")
-        x = self._cache
-        self._grads["W"] += x.T @ grad_out
+        self._grads["W"] += self._cache.T @ grad_out
         self._grads["b"] += grad_out.sum(axis=0)
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        self._accumulate(grad_out)
         return grad_out @ self._params["W"].T
 
     def backward_nodes(
-        self, grad_stack: np.ndarray, grad_param: np.ndarray
-    ) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward(training=True)")
-        x = self._cache
-        self._grads["W"] += x.T @ grad_param
-        self._grads["b"] += grad_param.sum(axis=0)
-        return grad_stack @ self._params["W"].T
+        self, grad_out: np.ndarray, keep: Optional[np.ndarray]
+    ) -> Optional[np.ndarray]:
+        self._accumulate(grad_out)
+        if keep is None:
+            return None
+        return grad_out @ (self._params["W"] * keep).T
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Dense(units={self.units})"

@@ -20,7 +20,10 @@ so one fancy-index assignment replaces the kernel loop (the pooling
 backward's hot path).
 
 All pairs produce byte-identical matrices (the parity tests assert
-it); the layers call the cached ones.
+it); the layers call the cached ones.  :func:`col2im_kept` folds only
+the patch entries an edge mask keeps — the local backward of
+distributed training, which drops the gradient between units hosted
+on different nodes.
 """
 
 from __future__ import annotations
@@ -177,3 +180,27 @@ def col2im_cached(
     if pad == 0:
         return img
     return img[:, :, pad : pad + h, pad : pad + w]
+
+
+def col2im_kept(
+    col: np.ndarray,
+    input_shape: tuple,
+    keep: np.ndarray,
+    kh: int,
+    kw: int,
+    stride: int,
+    pad: int,
+) -> np.ndarray:
+    """:func:`col2im_cached` of only the patch entries ``keep`` marks.
+
+    ``keep`` holds one row per window position and one column per
+    kernel offset, ``(out_h*out_w, kh*kw)``, shared by every sample and
+    channel; a 0 drops that window's contribution to that input
+    position before the fold.
+    """
+    n, c = input_shape[:2]
+    positions, taps = keep.shape
+    kept = col.reshape(n, positions, c, taps) * keep[:, np.newaxis]
+    return col2im_cached(
+        kept.reshape(col.shape), input_shape, kh, kw, stride, pad
+    )

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.nn.layers.base import Layer, SpatialDeps
-from repro.nn.layers.im2col import col2im_cached, conv_output_hw, im2col_cached
+from repro.nn.layers.im2col import (
+    col2im_cached,
+    col2im_kept,
+    conv_output_hw,
+    im2col_cached,
+)
 
 
 class _Pool2D(Layer):
@@ -20,9 +25,14 @@ class _Pool2D(Layer):
         self.stride = stride if stride is not None else self.ph
         self._cache = None
 
+    @property
+    def window(self) -> Tuple[int, int, int, int]:
+        """``(kh, kw, stride, pad)`` of the pooling window (no padding)."""
+        return self.ph, self.pw, self.stride, 0
+
     def output_shape(self, input_shape: tuple) -> tuple:
         c, h, w = input_shape
-        out_h, out_w = conv_output_hw(h, w, self.ph, self.pw, self.stride, 0)
+        out_h, out_w = conv_output_hw(h, w, *self.window)
         return (c, out_h, out_w)
 
     @property
@@ -31,7 +41,7 @@ class _Pool2D(Layer):
 
     def spatial_dependencies(self, input_hw: Tuple[int, int]) -> SpatialDeps:
         h, w = input_hw
-        out_h, out_w = conv_output_hw(h, w, self.ph, self.pw, self.stride, 0)
+        out_h, out_w = conv_output_hw(h, w, *self.window)
         deps: SpatialDeps = {}
         for oy in range(out_h):
             for ox in range(out_w):
@@ -44,11 +54,28 @@ class _Pool2D(Layer):
 
     def _unfold(self, x: np.ndarray) -> tuple:
         n, c, h, w = x.shape
-        out_h, out_w = conv_output_hw(h, w, self.ph, self.pw, self.stride, 0)
-        col = im2col_cached(x, self.ph, self.pw, self.stride, 0)
+        out_h, out_w = conv_output_hw(h, w, *self.window)
+        col = im2col_cached(x, *self.window)
         # rows: (n*out_h*out_w, c*ph*pw) -> (n*out_h*out_w*c, ph*pw)
         col = col.reshape(-1, c, self.ph * self.pw).reshape(-1, self.ph * self.pw)
         return col, (n, c, out_h, out_w)
+
+    def _grad_col(self, grad_out: np.ndarray) -> np.ndarray:
+        """``grad_out`` spread over the pooling windows, in
+        :func:`im2col` layout."""
+        raise NotImplementedError
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        grad_col = self._grad_col(grad_out)
+        return col2im_cached(grad_col, self._cache[0], *self.window)
+
+    def backward_nodes(
+        self, grad_out: np.ndarray, keep: Optional[np.ndarray]
+    ) -> Optional[np.ndarray]:
+        if keep is None:
+            return None
+        grad_col = self._grad_col(grad_out)
+        return col2im_kept(grad_col, self._cache[0], keep, *self.window)
 
 
 class MaxPool2D(_Pool2D):
@@ -63,37 +90,15 @@ class MaxPool2D(_Pool2D):
             self._cache = (x.shape, argmax)
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def _grad_col(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward(training=True)")
-        x_shape, argmax = self._cache
+        __, argmax = self._cache
         n, c, out_h, out_w = grad_out.shape
         grad_flat = grad_out.transpose(0, 2, 3, 1).reshape(-1)
         grad_col = np.zeros((grad_flat.size, self.ph * self.pw), dtype=grad_out.dtype)
         grad_col[np.arange(grad_flat.size), argmax] = grad_flat
-        grad_col = grad_col.reshape(n * out_h * out_w, -1)
-        return col2im_cached(grad_col, x_shape, self.ph, self.pw, self.stride, 0)
-
-    def backward_nodes(
-        self, grad_stack: np.ndarray, grad_param: np.ndarray
-    ) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward(training=True)")
-        x_shape, argmax = self._cache
-        n, c, h, w = x_shape
-        m, __, out_h, out_w = grad_stack.shape
-        # One argmax per (sample, position, channel); the node axis is
-        # outermost in the stack, so tiling the flat cache aligns it.
-        tiled = np.tile(argmax, m // n)
-        grad_flat = grad_stack.transpose(0, 2, 3, 1).reshape(-1)
-        grad_col = np.zeros(
-            (grad_flat.size, self.ph * self.pw), dtype=grad_stack.dtype
-        )
-        grad_col[np.arange(grad_flat.size), tiled] = grad_flat
-        grad_col = grad_col.reshape(m * out_h * out_w, -1)
-        return col2im_cached(
-            grad_col, (m, c, h, w), self.ph, self.pw, self.stride, 0
-        )
+        return grad_col.reshape(n * out_h * out_w, -1)
 
 
 class AvgPool2D(_Pool2D):
@@ -106,29 +111,11 @@ class AvgPool2D(_Pool2D):
             self._cache = (x.shape,)
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def _grad_col(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward(training=True)")
-        (x_shape,) = self._cache
         n, c, out_h, out_w = grad_out.shape
         window = self.ph * self.pw
         grad_flat = grad_out.transpose(0, 2, 3, 1).reshape(-1, 1) / window
         grad_col = np.repeat(grad_flat, window, axis=1)
-        grad_col = grad_col.reshape(n * out_h * out_w, -1)
-        return col2im_cached(grad_col, x_shape, self.ph, self.pw, self.stride, 0)
-
-    def backward_nodes(
-        self, grad_stack: np.ndarray, grad_param: np.ndarray
-    ) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward(training=True)")
-        (x_shape,) = self._cache
-        __, c, h, w = x_shape
-        m, __, out_h, out_w = grad_stack.shape
-        window = self.ph * self.pw
-        grad_flat = grad_stack.transpose(0, 2, 3, 1).reshape(-1, 1) / window
-        grad_col = np.repeat(grad_flat, window, axis=1)
-        grad_col = grad_col.reshape(m * out_h * out_w, -1)
-        return col2im_cached(
-            grad_col, (m, c, h, w), self.ph, self.pw, self.stride, 0
-        )
+        return grad_col.reshape(n * out_h * out_w, -1)

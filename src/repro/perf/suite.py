@@ -20,8 +20,8 @@ Workloads:
 - ``im2col_unfold`` — pooling-regime patch extraction with the
   memoized gather plan vs. the reference kernel loop;
 - ``local_backward`` — one distributed ``"local"`` backward pass,
-  batched ``backward_nodes`` kernels vs. the retained per-node
-  reference loop; parameter-gradient parity and counter-exact
+  one ``backward_nodes`` kernel per masked layer vs. the retained
+  per-node reference loop; parameter-gradient parity and counter-exact
   update-skip accounting are asserted untimed before the clocks start,
   so the committed entry certifies the speedup is of an equivalent
   computation;
@@ -349,7 +349,8 @@ def _grad_snapshot(model: Sequential) -> List[np.ndarray]:
 def bench_local_backward(
     protocol: BenchProtocol, seed: int, quick: bool
 ) -> Dict:
-    """One distributed ``"local"`` backward: batched vs. per-node loop.
+    """One distributed ``"local"`` backward: one kernel per masked
+    layer vs. the per-node loop.
 
     Both implementations run on the *same* trainer (same forward
     cache, same masks), so the timings differ only in the backward
@@ -361,13 +362,13 @@ def bench_local_backward(
     computation.
 
     The workload is pinned to the trainer's operating point — the
-    mini-batch size the training loop actually uses.  That is where
-    folding the node axis into the batch pays: the per-node loop's
-    cost is dominated by Python and kernel-dispatch overhead
-    (``n_hosting_nodes`` backward calls per masked layer per step).
-    At much larger batches the masked GEMMs dominate both paths (the
-    vectorization moves the same FLOPs into one call) and the two
-    implementations converge.
+    mini-batch size the training loop actually uses.  The per-node
+    loop runs ``n_hosting_nodes`` full backward calls per masked layer
+    per step, each over the whole batch; the vectorized path runs one
+    call per layer over the same batch, with the layer's same-owner
+    edge mask applied to the patch (or weight) matrix, and computes no
+    input gradient for the first layer with parameters.  Its work
+    therefore does not grow with the number of hosting nodes.
     """
     batch = 8
     input_hw = (10, 10) if quick else (12, 12)

@@ -7,10 +7,11 @@ from quietly reappearing in the vectorized path.
 The one sanctioned numeric slack: conv parameter gradients may differ
 at the ulp level because the GEMM grouping differs (the reference sums
 per-node ``col.T @ G_i`` products; the vectorized path runs one GEMM
-on the node-collapsed gradient).  Input gradients and dense parameter
-gradients are asserted byte-identical; conv parameters get a pinned
-1e-12 tolerance, and a digest test pins the reference path itself
-against drift.
+on the live gradient).  Input gradients and dense parameter gradients
+are asserted byte-identical, reading -0.0 as +0.0 (see
+:func:`assert_bytes_equal`); conv parameters get a pinned 1e-12
+tolerance, and a digest test pins the reference path itself against
+drift.
 """
 
 import ast
@@ -22,8 +23,10 @@ import pytest
 
 from repro.core import (
     MicroDeepTrainer,
+    PlacementIndex,
     UnitGraph,
     grid_correspondence_assignment,
+    random_assignment,
 )
 from repro.nn import (
     Conv2D,
@@ -248,43 +251,292 @@ class TestFaultParity:
         assert len(traces["vectorized"]) > 0
 
 
-class TestLayerKernels:
-    """backward_nodes row blocks == one backward() call per node."""
+def assert_bytes_equal(got, want, msg=""):
+    """Same shape and float64 bit patterns, reading -0.0 as +0.0.
 
-    @pytest.mark.parametrize("kind", sorted(MODELS))
-    def test_backward_nodes_blocks_match_per_node_backward(self, kind):
-        trainer = make_trainer(kind, "vectorized")
-        x, y = make_batch(kind)
-        trainer.model.zero_grads()
-        logits = trainer.model.forward(x, training=True)
-        trainer.loss.forward(logits, y)
-        grad = trainer.loss.backward()
-        # Walk backwards manually, checking each masked layer.
-        for entry in reversed(trainer.graph.layers):
-            layer = entry.layer
-            if entry.kind == "flatten" or layer.is_elementwise:
-                grad = layer.backward(grad)
-                continue
-            stack = trainer._stacked[entry.index]
-            batch = grad.shape[0]
-            stacked = (grad[np.newaxis] * stack.out_masks).reshape(
-                (-1,) + grad.shape[1:]
+    A slot whose owner hosts none of the layer's outputs gets no
+    same-owner edge: the kernel leaves it +0.0, while the reference
+    sums other nodes' masked-out (x 0) terms there, which can give
+    -0.0.  Every other bit is compared.
+    """
+    assert got.shape == want.shape, msg
+    np.testing.assert_array_equal(
+        (got + 0.0).view(np.int64), (want + 0.0).view(np.int64), err_msg=msg
+    )
+
+
+def window_keep(in_owner, out_owner, kh, kw, stride, pad):
+    """The same-owner edge mask of a sliding window, by walking every
+    window tap (independent of im2col): ``(out positions, kh*kw)``."""
+    h, w = in_owner.shape
+    out_h, out_w = out_owner.shape
+    keep = np.zeros((out_h * out_w, kh * kw))
+    for oy in range(out_h):
+        for ox in range(out_w):
+            for ky in range(kh):
+                for kx in range(kw):
+                    iy, ix = oy * stride + ky - pad, ox * stride + kx - pad
+                    if 0 <= iy < h and 0 <= ix < w:
+                        keep[oy * out_w + ox, ky * kw + kx] = (
+                            in_owner[iy, ix] == out_owner[oy, ox]
+                        )
+    return keep
+
+
+#: ``(layer factory, input shape)`` of every layer with a local
+#: backward: conv valid / same / stride 2, max pool non-overlapping and
+#: overlapping, average pool, dense.
+KERNEL_CASES = {
+    "conv_valid": (lambda: Conv2D(3, 3), (2, 7, 7)),
+    "conv_same": (lambda: Conv2D(2, 3, padding="same"), (2, 6, 6)),
+    "conv_stride2": (lambda: Conv2D(2, 3, stride=2), (1, 9, 9)),
+    "maxpool_2": (lambda: MaxPool2D(2), (2, 8, 8)),
+    "maxpool_3s2": (lambda: MaxPool2D(3, stride=2), (2, 9, 9)),
+    "avgpool_2": (lambda: AvgPool2D(2), (3, 6, 6)),
+    "dense": (lambda: Dense(7), (12,)),
+}
+
+
+class TestLayerKernels:
+    """``backward_nodes(grad, keep)`` == the per-node sum
+    ``sum_node in_mask * backward(grad * out_mask)``, byte for byte."""
+
+    @staticmethod
+    def _setup(case, seed):
+        factory, in_shape = KERNEL_CASES[case]
+        rng = np.random.default_rng(seed)
+        layer = factory()
+        layer.build(in_shape, rng)
+        x = rng.normal(size=(5,) + in_shape)
+        grad = rng.normal(size=(5,) + layer.output_shape(in_shape))
+        layer.forward(x, training=True)
+        n_nodes = 4
+        if len(in_shape) == 1:
+            in_owner = rng.integers(0, n_nodes, size=in_shape)
+            out_owner = rng.integers(0, n_nodes, size=grad.shape[1:])
+            keep = (in_owner[:, None] == out_owner[None, :]).astype(float)
+        else:
+            in_owner = rng.integers(0, n_nodes, size=in_shape[1:])
+            out_owner = rng.integers(0, n_nodes, size=grad.shape[2:])
+            keep = window_keep(in_owner, out_owner, *layer.window)
+        return layer, grad, in_owner, out_owner, keep, n_nodes
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_equals_per_node_sum(self, case, seed):
+        layer, grad, in_owner, out_owner, keep, n_nodes = self._setup(
+            case, seed
+        )
+        want = None
+        for node in range(n_nodes):
+            term = layer.backward(grad * (out_owner == node)) * (
+                in_owner == node
             )
-            got = layer.backward_nodes(stacked, grad)
-            got = got.reshape(
-                (len(stack.nodes), batch) + got.shape[1:]
-            )
-            for i, node in enumerate(stack.nodes):
-                expected = layer.backward(grad * stack.out_masks[i])
-                np.testing.assert_array_equal(
-                    got[i], expected,
-                    err_msg=f"{kind} layer {entry.index} node {node}",
-                )
-            grad = (got * stack.in_masks).sum(axis=0)
+            want = term if want is None else want + term
+        layer.zero_grads()
+        got = layer.backward_nodes(grad, keep)
+        assert_bytes_equal(got, want, f"{case} seed {seed}")
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_parameter_gradients_and_keep_none(self, case):
+        """Parameter gradients are those of ``backward(grad)``;
+        ``keep=None`` accumulates them and computes no input
+        gradient."""
+        layer, grad, __, __, keep, __ = self._setup(case, 7)
+        layer.backward(grad)
+        want = {k: g.copy() for k, g in layer.grads().items()}
+        for arg in (keep, None):
+            layer.zero_grads()
+            out = layer.backward_nodes(grad, arg)
+            assert (out is None) == (arg is None)
+            for name, g in layer.grads().items():
+                assert_bytes_equal(g, want[name], f"{case} {name}")
 
     def test_backward_nodes_unimplemented_layer_raises(self):
         with pytest.raises(NotImplementedError, match="ReLU"):
-            ReLU().backward_nodes(np.zeros((2, 3)), np.zeros((1, 3)))
+            ReLU().backward_nodes(np.zeros((2, 3)), np.zeros((3, 3)))
+
+
+#: Models for the vectorized-vs-reference matrix: ``(layers, input
+#: shape)``.  Each stresses one way a layer sits relative to the first
+#: layer with parameters.
+MATRIX_MODELS = {
+    "relu_first": (
+        lambda: [ReLU(), Conv2D(2, 3), ReLU(), MaxPool2D(2), Flatten(),
+                 Dense(3)],
+        (1, 10, 10),
+    ),
+    "pool_before_conv": (
+        lambda: [MaxPool2D(2), Conv2D(2, 3), ReLU(), Flatten(), Dense(3)],
+        (1, 12, 12),
+    ),
+    "two_convs": (
+        lambda: [Conv2D(2, 3), ReLU(), Conv2D(3, 3), ReLU(), AvgPool2D(2),
+                 Flatten(), Dense(2)],
+        (1, 12, 12),
+    ),
+    "same_padding": (
+        lambda: [Conv2D(2, 3, padding="same"), ReLU(),
+                 Conv2D(2, 3, stride=2, padding="same"), ReLU(),
+                 MaxPool2D(3, stride=2), Flatten(), Dense(3)],
+        (1, 10, 10),
+    ),
+    "dense_only": (
+        lambda: [Flatten(), Dense(12), ReLU(), Dense(6), ReLU(), Dense(2)],
+        (1, 6, 6),
+    ),
+}
+MATRIX_GRIDS = ((2, 2), (3, 3), (4, 4))
+MATRIX_PLACEMENTS = ("grid", "random")
+MATRIX_DOWN = ("none", "quarter", "all")
+
+
+def matrix_trainer(model, grid, placement, impl, adapter):
+    layers_fn, input_shape = MATRIX_MODELS[model]
+    net = Sequential(layers_fn())
+    net.build(input_shape, np.random.default_rng(0))
+    graph = UnitGraph(net)
+    topology = GridTopology(*grid)
+    if placement == "grid":
+        placed = grid_correspondence_assignment(graph, topology)
+    else:
+        placed = random_assignment(graph, topology, np.random.default_rng(1))
+    return MicroDeepTrainer(
+        graph, placed, SGD(lr=0.05), fault_adapter=adapter,
+        backward_impl=impl,
+    )
+
+
+def spy_received(model):
+    """Per layer index, the gradient each layer received: the sum of
+    the gradients passed to its ``backward``/``backward_nodes`` calls,
+    in call order (the reference calls a masked layer once per node)."""
+    received = {}
+    for i, layer in enumerate(model.layers):
+        for name in ("backward", "backward_nodes"):
+            def spy(grad, *rest, _i=i, _method=getattr(layer, name)):
+                received[_i] = (
+                    grad if _i not in received else received[_i] + grad
+                )
+                return _method(grad, *rest)
+
+            setattr(layer, name, spy)
+    return received
+
+
+class TestLocalBackwardMatrix:
+    """Vectorized == reference over models x grids x placements x
+    down-sets: every gradient the vectorized path computes is
+    byte-identical, dense parameters too, conv parameters within
+    1e-12, and the skip sequences are equal."""
+
+    @pytest.mark.parametrize("down", MATRIX_DOWN)
+    @pytest.mark.parametrize("placement", MATRIX_PLACEMENTS)
+    @pytest.mark.parametrize("grid", MATRIX_GRIDS)
+    @pytest.mark.parametrize("model", sorted(MATRIX_MODELS))
+    def test_vectorized_equals_reference(self, model, grid, placement, down):
+        nodes = list(range(grid[0] * grid[1]))
+        seed = sorted(MATRIX_MODELS).index(model) * 100 + sum(grid)
+        rng = np.random.default_rng(seed)
+        dead = {"none": [], "all": nodes}.get(down)
+        if dead is None:
+            dead = rng.choice(nodes, size=len(nodes) // 4, replace=False)
+        __, input_shape = MATRIX_MODELS[model]
+        x = rng.normal(size=(6,) + input_shape)
+        y = rng.integers(0, 2, size=6)
+        runs = {}
+        for impl in ("vectorized", "reference"):
+            adapter = ScriptedAdapter(int(n) for n in dead)
+            trainer = matrix_trainer(model, grid, placement, impl, adapter)
+            received = spy_received(trainer.model)
+            run_backward(trainer, x, y)
+            runs[impl] = (trainer, received, adapter.skips)
+        vec, got, skips_vec = runs["vectorized"]
+        ref, want, skips_ref = runs["reference"]
+        case = f"{model} {grid} {placement} {down}"
+        assert skips_vec == skips_ref, case
+        if down != "none":
+            assert skips_vec, case
+        floor = vec._first_param
+        assert sorted(got) == sorted(i for i in want if i >= floor), case
+        for i in got:
+            assert_bytes_equal(got[i], want[i], f"{case} layer {i}")
+        ref_grads = grads_of(ref)
+        for (i, name), grad in grads_of(vec).items():
+            ref_grad = ref_grads[(i, name)]
+            if isinstance(vec.model.layers[i], Conv2D):
+                np.testing.assert_allclose(
+                    grad, ref_grad, atol=1e-12, rtol=0, err_msg=case
+                )
+            else:
+                assert_bytes_equal(grad, ref_grad, f"{case} {i} {name}")
+
+    def test_edge_masks_match_window_walk(self):
+        """The trainer's im2col-built edge masks equal the masks walked
+        window by window from the placement."""
+        trainer = matrix_trainer(
+            "same_padding", (3, 3), "random", "vectorized", None
+        )
+        index = PlacementIndex(trainer.graph, trainer.placement)
+        checked = 0
+        for entry in trainer.graph.layers:
+            if entry.kind != "spatial" or entry.index not in trainer._stacked:
+                continue
+            in_owner = index.input_owner(entry.index).reshape(entry.in_hw)
+            out_owner = index.layers[entry.index].owner.reshape(entry.out_hw)
+            np.testing.assert_array_equal(
+                trainer._stacked[entry.index].keep,
+                window_keep(in_owner, out_owner, *entry.layer.window),
+            )
+            checked += 1
+        assert checked == 3
+
+
+class TestFirstParamLayer:
+    """Nothing below the first layer with parameters is computed."""
+
+    @pytest.mark.parametrize(
+        "model, folds", [("relu_first", 0), ("two_convs", 1)]
+    )
+    def test_first_conv_folds_no_input_gradient(
+        self, model, folds, monkeypatch
+    ):
+        from repro.nn.layers import conv
+
+        calls = []
+        for name in ("col2im_cached", "col2im_kept"):
+            fold = getattr(conv, name)
+
+            def counting(*args, _fold=fold, **kwargs):
+                calls.append(args[0].shape)
+                return _fold(*args, **kwargs)
+
+            monkeypatch.setattr(conv, name, counting)
+        trainer = matrix_trainer(model, (2, 2), "grid", "vectorized", None)
+        __, input_shape = MATRIX_MODELS[model]
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(4,) + input_shape)
+        run_backward(trainer, x, rng.integers(0, 2, size=4))
+        assert len(calls) == folds
+
+    def test_masked_layer_below_reports_skips_without_arithmetic(self):
+        """A parameter-free pool before the first conv computes
+        nothing but still reports its down nodes, in the reference
+        loop's order."""
+        records = {}
+        for impl in ("vectorized", "reference"):
+            adapter = ScriptedAdapter({0, 3})
+            trainer = matrix_trainer(
+                "pool_before_conv", (2, 2), "grid", impl, adapter
+            )
+            received = spy_received(trainer.model)
+            x = np.random.default_rng(5).normal(size=(4, 1, 12, 12))
+            run_backward(trainer, x, np.array([0, 1, 0, 1]))
+            records[impl] = (adapter.skips, received)
+        assert records["vectorized"][0] == records["reference"][0]
+        assert (0, 0) in records["vectorized"][0]
+        assert 0 not in records["vectorized"][1]
+        assert 0 in records["reference"][1]
 
 
 class TestCol2imCached:
@@ -375,6 +627,93 @@ class TestTelemetry:
         trainer.fit(x, y, epochs=1, batch_size=4,
                     rng=np.random.default_rng(1))
         assert current().tracer.events == []
+
+
+class TestSharedSkipRecords:
+    """``TrainingFaultAdapter`` logs one trace entry per skip, but the
+    skips of one ``(layer, node)`` at one clock value share a record."""
+
+    EPOCHS = 3
+
+    @staticmethod
+    def _trainer(adapter_cls, clock):
+        """Nodes 5 and 10 down on a 4x4 grid; :meth:`_fit` runs 256
+        examples of 12x12 in batches of 16, so 4 skips per step and 64
+        per epoch."""
+        from repro.faults import FaultTrace, NodeStateTracker
+
+        model = Sequential([Conv2D(2, 3), ReLU(), MaxPool2D(2), Flatten(),
+                            Dense(8), ReLU(), Dense(2)])
+        model.build((1, 12, 12), np.random.default_rng(0))
+        graph = UnitGraph(model)
+        topology = GridTopology(4, 4)
+        trace = FaultTrace()
+        tracker = NodeStateTracker(topology, trace, clock=clock)
+        for node in (5, 10):
+            tracker.crash(node)
+        trainer = MicroDeepTrainer(
+            graph, grid_correspondence_assignment(graph, topology),
+            SGD(lr=0.05), fault_adapter=adapter_cls(tracker, trace, clock),
+        )
+        return trainer, trace
+
+    @staticmethod
+    def _fit(trainer, epochs):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(256, 1, 12, 12))
+        y = rng.integers(0, 2, size=256)
+        trainer.fit(x, y, epochs=epochs, batch_size=16,
+                    rng=np.random.default_rng(3))
+
+    @staticmethod
+    def _adapters():
+        """The shared adapter, and one without sharing (one
+        ``record()`` per skip, as before records were shared)."""
+        from repro.faults.runtime import TrainingFaultAdapter
+
+        class RecordEverySkip(TrainingFaultAdapter):
+            def on_update_skipped(self, layer_index, node):
+                self.trace.record(
+                    self.clock(), "degrade.update-skipped",
+                    layer=layer_index, node=node,
+                )
+
+        return {"shared": TrainingFaultAdapter, "plain": RecordEverySkip}
+
+    def test_constant_clock_shares_records(self):
+        traces = {}
+        for name, cls in self._adapters().items():
+            trainer, traces[name] = self._trainer(cls, lambda: 0.0)
+            self._fit(trainer, self.EPOCHS)
+        trace = traces["shared"]
+        skips = trace.of_kind("degrade.update-skipped")
+        assert len(skips) == 64 * self.EPOCHS
+        assert len(trace) == 2 + 64 * self.EPOCHS  # two crash records
+        assert len({id(r) for r in skips}) <= len(trainer._stacked) * 2
+        assert trace.to_jsonl() == traces["plain"].to_jsonl()
+        assert trace.digest() == traces["plain"].digest()
+
+    def test_advancing_clock_gets_fresh_records_per_instant(self):
+        traces = {}
+        for name, cls in self._adapters().items():
+            now = [0.0]
+            trainer, traces[name] = self._trainer(cls, lambda: now[0])
+            step = trainer._train_step
+
+            def ticking(xb, yb, now=now, step=step):
+                now[0] += 1.0
+                return step(xb, yb)
+
+            trainer._train_step = ticking
+            self._fit(trainer, 1)
+        skips = traces["shared"].of_kind("degrade.update-skipped")
+        ids_at = {}
+        for rec in skips:
+            ids_at.setdefault(rec.time, set()).add(id(rec))
+        assert sorted(ids_at) == [float(t) for t in range(1, 17)]
+        assert all(len(ids) == 4 for ids in ids_at.values())
+        assert len({id(r) for r in skips}) == len(skips) == 64
+        assert traces["shared"].to_jsonl() == traces["plain"].to_jsonl()
 
 
 TRAINING_PY = (
