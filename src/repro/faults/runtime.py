@@ -18,7 +18,7 @@ Three pieces plug the fault layer into the existing stack:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -189,6 +189,10 @@ class ResilientExecutor:
         self.recorder = recorder
         #: layer index (-1 = model input) -> last computed activations.
         self._stale: Dict[int, np.ndarray] = {}
+        #: ``(layer, message)`` per cross-node transfer of one pass,
+        #: built on the first :meth:`infer`: the placement's transfer
+        #: list is fixed, and the network only reads messages.
+        self._transfers: Optional[List[Tuple[int, Message]]] = None
         self.inferences = 0
         from repro.obs.runtime import current
 
@@ -199,11 +203,10 @@ class ResilientExecutor:
         """Advance virtual time, firing any scheduled fault events."""
         self.sim.run(until=self.sim.now + dt)
 
-    def _attempt_transfer(
-        self, layer_index: int, src: int, dst: int, n_values: int
-    ) -> bool:
+    def _attempt_transfer(self, layer_index: int, message: Message) -> bool:
         """One transfer with bounded retries; True when delivered."""
         trace, sim = self.trace, self.sim
+        src, dst = message.src, message.dst
         if not self.tracker.is_up(src):
             trace.record(
                 sim.now, "degrade.source-down",
@@ -218,9 +221,6 @@ class ResilientExecutor:
             return False
         latency = self.policy.attempt_latency_s * self.tracker.clock_factor(src)
         deadline = sim.now + self.policy.timeout_s
-        message = Message(
-            src=src, dst=dst, n_values=n_values, kind=f"layer{layer_index}"
-        )
         tel = self._telemetry
         for attempt in range(self.policy.max_retries + 1):
             if attempt > 0 and tel.enabled:
@@ -311,12 +311,20 @@ class ResilientExecutor:
             self.sim.now, "exec.start",
             inference=self.inferences, batch=int(x.shape[0]),
         )
+        if self._transfers is None:
+            self._transfers = [
+                (layer_index, Message(src=src, dst=dst, n_values=n_values,
+                                      kind=f"layer{layer_index}"))
+                for layer_index, src, dst, n_values in executor.index.transfers
+            ]
         failed = 0
         poisoned: Dict[int, Set[int]] = {}
-        for layer_index, src, dst, n_values in executor.index.transfers:
-            if not self._attempt_transfer(layer_index, src, dst, n_values):
+        for layer_index, message in self._transfers:
+            if not self._attempt_transfer(layer_index, message):
                 failed += 1
-                poisoned.setdefault(feeding[layer_index], set()).add(src)
+                poisoned.setdefault(feeding[layer_index], set()).add(
+                    message.src
+                )
         down = self.tracker.down_nodes()
         substitutions = 0
 

@@ -7,7 +7,9 @@ Two unfold implementations coexist:
   ``(C, H, W, kernel, stride, pad)``: when the windows do not overlap
   (``stride >= kernel``, the pooling regime) it gathers every patch
   straight into the final layout with one cached fancy index, skipping
-  the kernel loop *and* the transpose copy (measured 1.4-3.4x here);
+  the kernel loop *and* the transpose copy.  Against the loop without
+  a pad copy that measured 2x on train_local's pool input
+  ``(16, 2, 10, 10)`` but 0.8-0.9x on ``(32, 4, 24, 24)``;
   for overlapping windows the contiguous slice copies of the reference
   loop are the fastest layout-conversion available, so the cache only
   memoizes the window geometry.
@@ -52,11 +54,19 @@ def conv_output_hw(
     return out_h, out_w
 
 
+def _padded(x: np.ndarray, pad: int) -> np.ndarray:
+    """``x`` zero-padded by ``pad`` on both spatial axes, or ``x``
+    itself when ``pad == 0`` (the unfolds only read it)."""
+    if pad == 0:
+        return x
+    return np.pad(x, [(0, 0), (0, 0), (pad, pad), (pad, pad)], mode="constant")
+
+
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
     """Unfold ``(N, C, H, W)`` into ``(N*out_h*out_w, C*kh*kw)`` patches."""
     n, c, h, w = x.shape
     out_h, out_w = conv_output_hw(h, w, kh, kw, stride, pad)
-    img = np.pad(x, [(0, 0), (0, 0), (pad, pad), (pad, pad)], mode="constant")
+    img = _padded(x, pad)
     col = np.empty((n, c, kh, kw, out_h, out_w), dtype=x.dtype)
     for y in range(kh):
         y_max = y + stride * out_h
@@ -115,12 +125,7 @@ def im2col_cached(
     gather, out_h, out_w = im2col_indices(c, h, w, kh, kw, stride, pad)
     if gather is None:
         return im2col(x, kh, kw, stride, pad)
-    img = (
-        x if pad == 0
-        else np.pad(x, [(0, 0), (0, 0), (pad, pad), (pad, pad)],
-                    mode="constant")
-    )
-    cols = img.reshape(n, -1)[:, gather]
+    cols = _padded(x, pad).reshape(n, -1)[:, gather]
     return cols.reshape(n * out_h * out_w, c * kh * kw)
 
 

@@ -8,7 +8,13 @@ nothing — it only starts a fresh memo — and replay/compile loops that
 issue thousands of routes per topology state pay one BFS per distinct
 pair.  The BFS copies networkx's bidirectional expansion order, so
 every route equals ``nx.shortest_path`` on the alive connectivity
-graph.
+graph.  Where networkx keeps a ``pred`` dict for the forward frontier
+and a ``succ`` dict for the reverse one, the BFS keeps one side byte
+per node (unseen, forward, reverse or dead) and one parent list for
+both.  That is the same information: the search ends at the first
+node both frontiers reach, so before then no node is in both dicts,
+and a node's byte says which dict holds it and its parent is the
+entry.
 
 The pre-optimization implementation (a fresh brute-force graph and
 ``nx.shortest_path`` per call) is kept as

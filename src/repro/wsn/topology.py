@@ -38,6 +38,41 @@ import numpy as np
 from repro.wsn.node import SensorNode
 from repro.wsn.spatial import GridHashIndex, SparseAdjacency, build_adjacency
 
+#: Side bytes of the route BFS: which frontier reached a node, if any.
+_UNSEEN, _FORWARD, _REVERSE, _DEAD = 0, 1, 2, 3
+#: ``translate`` table from an alive flag to the node's starting side.
+_SIDE_OF_ALIVE = bytes([_DEAD, _UNSEEN]) + bytes(254)
+
+
+def _grow_level(
+    rows: List[List[int]],
+    side: bytearray,
+    parent: List[int],
+    level: List[int],
+    fringe: List[int],
+    mine: int,
+) -> Optional[Tuple[int, int]]:
+    """Grow one BFS level of side ``mine`` into ``fringe``.
+
+    Scans each node of ``level`` in order, and its CSR row in order.
+    An unseen neighbor joins ``mine`` with the scanning node as its
+    parent.  The first neighbor on the other side ends the scan: the
+    return value is that meeting edge as ``(forward end, reverse
+    end)``.  None when the level grew without meeting.
+    """
+    append = fringe.append
+    theirs = _FORWARD + _REVERSE - mine
+    for v in level:
+        for w in rows[v]:
+            b = side[w]
+            if not b:  # _UNSEEN
+                side[w] = mine
+                parent[w] = v
+                append(w)
+            elif b == theirs:
+                return (v, w) if mine == _FORWARD else (w, v)
+    return None
+
 
 class Topology:
     """A set of sensor nodes plus a communication radius.
@@ -290,12 +325,22 @@ class Topology:
     def _bfs_route(self, src: int, dst: int) -> Optional[Tuple[int, ...]]:
         """Bidirectional BFS over the CSR rows, dead nodes skipped.
 
-        A copy of networkx's ``_bidirectional_pred_succ`` expansion: the
-        smaller fringe grows first (the forward one on ties), each node
-        scanning its neighbors in CSR row order.  ``_build_graph``
-        inserts edges in lexicographic index order, so that is also the
-        adjacency order of :meth:`cached_graph`, and the route equals
-        ``nx.shortest_path`` on it.
+        networkx's ``_bidirectional_pred_succ`` expansion: the smaller
+        fringe grows first (the forward one on ties), each node scanning
+        its neighbors in CSR row order, and the search ends at the first
+        edge, in scan order, from one side into the other.
+        ``_build_graph`` inserts edges in lexicographic index order, so
+        that is also the adjacency order of :meth:`cached_graph`, and
+        the route equals ``nx.shortest_path`` on it.
+
+        One side byte per node (:data:`_UNSEEN`, :data:`_FORWARD`,
+        :data:`_REVERSE`, :data:`_DEAD`) and one parent list replace
+        networkx's ``pred`` and ``succ`` dicts.  That holds the same
+        information because no node is on both sides before the
+        meeting: reaching a node of the other side ends the search.
+        So a node is in ``pred`` exactly when its byte reads forward,
+        in ``succ`` exactly when it reads reverse, and its parent is
+        the one dict entry it has.
         """
         s = self._index_of.get(src)
         t = self._index_of.get(dst)
@@ -305,48 +350,31 @@ class Topology:
         if s == t:
             return (src,)
         rows = self._csr_rows()
-        pred: Dict[int, Optional[int]] = {s: None}
-        succ: Dict[int, Optional[int]] = {t: None}
-
-        def meet() -> Optional[int]:
-            forward, reverse = [s], [t]
-            while forward and reverse:
-                if len(forward) <= len(reverse):
-                    level, forward = forward, []
-                    for v in level:
-                        for w in rows[v]:
-                            if not alive[w]:
-                                continue
-                            if w not in pred:
-                                forward.append(w)
-                                pred[w] = v
-                            if w in succ:
-                                return w
-                else:
-                    level, reverse = reverse, []
-                    for v in level:
-                        for w in rows[v]:
-                            if not alive[w]:
-                                continue
-                            if w not in succ:
-                                succ[w] = v
-                                reverse.append(w)
-                            if w in pred:
-                                return w
+        side = alive.translate(_SIDE_OF_ALIVE)
+        side[s], side[t] = _FORWARD, _REVERSE
+        parent = [-1] * len(side)
+        forward, reverse = [s], [t]
+        meeting = None
+        while meeting is None and forward and reverse:
+            if len(forward) <= len(reverse):
+                level, forward = forward, []
+                meeting = _grow_level(rows, side, parent, level, forward,
+                                      _FORWARD)
+            else:
+                level, reverse = reverse, []
+                meeting = _grow_level(rows, side, parent, level, reverse,
+                                      _REVERSE)
+        if meeting is None:
             return None
-
-        w = meet()
-        if w is None:
-            return None
+        head, tail = meeting
         path: List[int] = []
-        while w is not None:
-            path.append(w)
-            w = pred[w]
+        while head >= 0:
+            path.append(head)
+            head = parent[head]
         path.reverse()
-        w = succ[path[-1]]
-        while w is not None:
-            path.append(w)
-            w = succ[w]
+        while tail >= 0:
+            path.append(tail)
+            tail = parent[tail]
         ids = self._id_list
         return tuple(ids[i] for i in path)
 

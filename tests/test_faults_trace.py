@@ -19,6 +19,7 @@ from repro.faults.scenario import FaultScenario
 from repro.faults.trace import FaultTrace, TraceRecord
 from repro.nn import Conv2D, Dense, Flatten, ReLU, Sequential
 from repro.wsn import GridTopology
+from repro.wsn.network import Message
 
 GOLDEN_DIGEST = "5e64c00d90c4a5ff8a63e7f194f20d923d19d172869b3f270e536d1e62741bae"
 GOLDEN_N_RECORDS = 60
@@ -171,6 +172,24 @@ class TestGoldenTrace:
         done = golden_run.trace.of_kind("exec.done")
         assert all(z.time <= done[0].time for z in zeros)
         assert all(s.time > done[0].time for s in stales)
+
+    def test_messages_built_on_first_inference_only(self, monkeypatch):
+        """The executor builds one message per transfer on its first
+        inference and reuses them; the trace is still the golden one."""
+        built = []
+        post_init = Message.__post_init__
+
+        def counting(message):
+            built.append(message)
+            post_init(message)
+
+        monkeypatch.setattr(Message, "__post_init__", counting)
+        run = build_run()
+        transfers = run.executor.executor.index.transfers
+        assert len(built) == len(transfers)
+        assert run.trace.digest() == GOLDEN_DIGEST
+        run.infer(np.zeros((1, 1, 4, 4)))
+        assert len(built) == len(transfers)
 
 
 class TestTraceEncoding:

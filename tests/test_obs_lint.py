@@ -476,7 +476,8 @@ def test_wsn_hot_paths_never_import_networkx():
 _ROUTING_HOT_PATH = {
     "wsn/routing.py": ("shortest_path_route",),
     "wsn/topology.py": (
-        "Topology.route", "Topology._bfs_route", "Topology._csr_rows",
+        "Topology.route", "Topology._bfs_route", "_grow_level",
+        "Topology._csr_rows",
     ),
 }
 #: What the routing hot path may not reference: the networkx module

@@ -8,12 +8,16 @@ dead-node sets.  The fuzz classes here (under ``-m perf``, like the
 other hot-path property suites) assert exactly that; the plain classes
 pin the unit semantics: epoch/cache invalidation, the
 ``shortest_path_route`` endpoint contract and its ``unroutable``
-attribution in the network layer, NaN/inf position validation, the
-deterministic generator suite, and the JSON map importer.
+attribution in the network layer, route equality with
+``nx.shortest_path`` from a 4,000-tag district down to the generator
+families, NaN/inf position validation, the deterministic generator
+suite, and the JSON map importer.
 """
 
 import json
+from collections import Counter
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -403,6 +407,104 @@ class TestRoutingContract:
         assert parents == {0: None, 1: 0, 2: 1, 3: 2}
         topo.node(3).alive = False
         assert 3 not in sink_tree(topo, 0)
+
+
+def nx_route(topo, src, dst):
+    """``nx.shortest_path`` on :meth:`Topology.cached_graph`, under the
+    ``shortest_path_route`` endpoint contract."""
+    g = topo.cached_graph()
+    if src not in g or dst not in g:
+        return None
+    try:
+        return nx.shortest_path(g, src, dst)
+    except nx.NetworkXNoPath:
+        return None
+
+
+def assert_routes_match_nx(topo, pairs):
+    """Every route equals networkx's; returns how many pairs fell in
+    each case of the endpoint contract."""
+    cases = Counter()
+    for src, dst in pairs:
+        got = shortest_path_route(topo, src, dst)
+        assert got == nx_route(topo, src, dst), f"route {src} -> {dst}"
+        if src not in topo.nodes or dst not in topo.nodes:
+            cases["unknown"] += 1
+        elif not (topo.node(src).alive and topo.node(dst).alive):
+            cases["dead"] += 1
+        elif src == dst:
+            cases["self"] += 1
+        else:
+            cases["routed" if got else "unroutable"] += 1
+    return cases
+
+
+class TestRouteParityAtScale:
+    """Routes equal ``nx.shortest_path`` on the alive graph, tie-breaks
+    included, at city scale, on a tie-heavy grid and on every generator
+    family, across liveness changes."""
+
+    CASES = {"unknown", "dead", "self", "routed", "unroutable"}
+
+    def test_city_district_over_liveness_rounds(self):
+        # city_churn's density: one tag per 100 m^2, 15 m radio range.
+        tags = 4000
+        rng = np.random.default_rng(2019)
+        side = float(np.sqrt(tags * 100.0))
+        topo = Topology(
+            [SensorNode(i, (float(x), float(y)))
+             for i, (x, y) in enumerate(rng.uniform(0, side, (tags, 2)))],
+            comm_range=15.0,
+        )
+        alive = np.ones(tags, dtype=bool)
+        alive[rng.choice(tags, tags // 10, replace=False)] = False
+        cases = Counter()
+        for __ in range(3):
+            flips = np.concatenate([
+                rng.choice(np.flatnonzero(alive), 60, replace=False),
+                rng.choice(np.flatnonzero(~alive), 60, replace=False),
+            ])
+            alive[flips] = ~alive[flips]
+            for i in np.flatnonzero(alive != topo.alive_view()).tolist():
+                topo.node(i).alive = bool(alive[i])
+            up = np.flatnonzero(alive).tolist()
+            down = np.flatnonzero(~alive).tolist()
+            lone = [n for n, degree in topo.cached_graph().degree()
+                    if degree == 0]
+            pairs = [tuple(p) for p in rng.integers(0, tags, (90, 2)).tolist()]
+            pairs += [(down[0], up[0]), (up[1], down[1]), (down[2], down[2]),
+                      (up[2], up[2]), (tags + 7, up[3]), (up[4], -1),
+                      (lone[0], up[5]), (up[6], lone[-1])]
+            cases += assert_routes_match_nx(topo, pairs)
+        assert set(cases) == self.CASES
+        assert cases["routed"] >= 200
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tie_heavy_grid_quarter_dead(self, seed):
+        rng = np.random.default_rng(2100 + seed)
+        topo = GridTopology(20, 20)
+        for i in rng.choice(400, 100, replace=False).tolist():
+            topo.node(i).alive = False
+        pairs = [tuple(p) for p in rng.integers(0, 400, (300, 2)).tolist()]
+        cases = assert_routes_match_nx(topo, pairs)
+        assert cases["routed"] >= 100
+
+    @pytest.mark.parametrize("ctor", [
+        lambda: ChainTopology(12),
+        lambda: RingTopology(12),
+        lambda: StarTopology(5),
+        lambda: StarTopology(8),
+        lambda: CliqueTopology(9),
+    ], ids=["chain", "ring", "star", "wheel", "clique"])
+    def test_generator_families(self, ctor):
+        topo = ctor()
+        ids = sorted(topo.nodes)
+        pairs = [(s, d) for s in ids for d in ids]
+        assert_routes_match_nx(topo, pairs)
+        rng = np.random.default_rng(len(ids))
+        for i in rng.choice(ids, len(ids) // 4, replace=False).tolist():
+            topo.node(i).alive = False
+        assert_routes_match_nx(topo, pairs)
 
 
 class TestGenerators:
