@@ -58,6 +58,9 @@ class DistributedExecutor:
         graph: its unit graph.
         placement: unit-to-node mapping.
         network: the WSN network layer carrying the messages.
+        index: a prebuilt index of this ``(graph, placement)`` pair,
+            shared with other executors over the same deployment (a
+            fault scenario's cells); built here when omitted.
     """
 
     def __init__(
@@ -67,15 +70,22 @@ class DistributedExecutor:
         placement: Placement,
         network: Network,
         telemetry=None,
+        index: Optional[PlacementIndex] = None,
     ) -> None:
         if graph.model is not model:
             raise ValueError("graph was not extracted from this model")
+        if index is None:
+            index = PlacementIndex(graph, placement)
+        elif index.graph is not graph or index.placement is not placement:
+            raise ValueError(
+                "index was not built from this graph and placement"
+            )
         self.model = model
         self.graph = graph
         self.placement = placement
         self.network = network
         #: The placement's owners, per-node positions, and transfers.
-        self.index = PlacementIndex(graph, placement)
+        self.index = index
         self._cost_model = CommunicationCostModel(graph, network.topology)
         #: Compilation outcome (a plan, or the reason there is none)
         #: for the topology state :attr:`_plan_epoch` names.

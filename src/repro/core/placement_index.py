@@ -4,8 +4,9 @@ A :class:`~repro.core.assignment.Placement` is a slot -> node dict.
 The executor, the plan compiler, the trainer, and the fault runtime
 all need the same facts derived from it: the owner of every output
 position, the positions each node hosts, the positions a set of failed
-nodes hosts, and the cross-node transfer list.  :class:`PlacementIndex`
-derives each of them once per ``(graph, placement)`` pair.
+nodes hosts, and the cross-node transfer list (and its messages).
+:class:`PlacementIndex` derives each of them once per ``(graph,
+placement)`` pair.
 
 Grids are keyed by layer index, with the input grid under
 :data:`INPUT` (-1, the same "model input" key as
@@ -22,6 +23,7 @@ import numpy as np
 from repro.core.assignment import Placement
 from repro.core.costmodel import placement_transfers
 from repro.core.unitgraph import UnitGraph
+from repro.wsn.network import Message
 
 #: Key of the input grid.
 INPUT = -1
@@ -108,6 +110,7 @@ class PlacementIndex:
             )
         self._gathers: Dict[Tuple[int, FrozenSet[int]], Optional[tuple]] = {}
         self._transfers: Optional[List[Transfer]] = None
+        self._messages: Optional[List[Tuple[int, Message]]] = None
         self._groups: Optional[List[Tuple[Transfer, int]]] = None
 
     def input_owner(self, layer_index: int) -> np.ndarray:
@@ -148,6 +151,20 @@ class PlacementIndex:
         if self._transfers is None:
             self._transfers = placement_transfers(self.graph, self.placement)
         return self._transfers
+
+    @property
+    def messages(self) -> List[Tuple[int, Message]]:
+        """``(layer, message)`` per entry of :attr:`transfers`, in
+        order: the fault runtime's per-transfer sends.  Built once and
+        shared by every executor on this index (networks only read a
+        message)."""
+        if self._messages is None:
+            self._messages = [
+                (layer, Message(src=src, dst=dst, n_values=n_values,
+                                kind=f"layer{layer}"))
+                for layer, src, dst, n_values in self.transfers
+            ]
+        return self._messages
 
     @property
     def groups(self) -> List[Tuple[Transfer, int]]:

@@ -9,6 +9,7 @@ traces — the property the determinism suite pins.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
@@ -37,6 +38,10 @@ class FaultEvent:
     factor: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("time", "duration", "factor"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"event {name} must be finite, got {value}")
         if self.time < 0:
             raise ValueError(f"event time must be >= 0, got {self.time}")
         if self.kind not in EVENT_KINDS:
@@ -150,8 +155,10 @@ class FaultPlan:
         All draws come from ``default_rng(seed)`` in a fixed order, so
         the same arguments always yield the same plan.
         """
-        if horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {horizon}")
+        if not (math.isfinite(horizon) and horizon > 0):
+            raise ValueError(
+                f"horizon must be positive and finite, got {horizon}"
+            )
         node_ids = sorted(int(n) for n in node_ids)
         total = n_crashes + n_brownouts + n_drifts
         if total > 0 and not node_ids:

@@ -17,8 +17,10 @@ Three pieces plug the fault layer into the existing stack:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 import numpy as np
 
@@ -100,7 +102,9 @@ class NodeStateTracker:
         return self._clock_factor.get(node_id, 1.0)
 
     def is_up(self, node_id: int) -> bool:
-        return self.topology.node(node_id).alive
+        # Called several times per transfer attempt: a plain lookup in
+        # the node dict, not Topology.node()'s error-wrapping call.
+        return self.topology.nodes[node_id].alive
 
     def down_nodes(self) -> Set[int]:
         return {n.node_id for n in self.topology if not n.alive}
@@ -149,10 +153,21 @@ class RetryPolicy:
     fallback: str = "stale"
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
+        retries = self.max_retries
+        if isinstance(retries, bool) or not isinstance(
+            retries, numbers.Integral
+        ):
+            raise ValueError(
+                f"max_retries must be an integer, got {retries!r}"
+            )
+        if retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.attempt_latency_s <= 0 or self.timeout_s <= 0:
-            raise ValueError("latency and timeout must be positive")
+        for name in ("attempt_latency_s", "timeout_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value}"
+                )
         if self.fallback not in ("stale", "zero"):
             raise ValueError(
                 f"fallback must be 'stale' or 'zero', got {self.fallback!r}"
@@ -189,10 +204,6 @@ class ResilientExecutor:
         self.recorder = recorder
         #: layer index (-1 = model input) -> last computed activations.
         self._stale: Dict[int, np.ndarray] = {}
-        #: ``(layer, message)`` per cross-node transfer of one pass,
-        #: built on the first :meth:`infer`: the placement's transfer
-        #: list is fixed, and the network only reads messages.
-        self._transfers: Optional[List[Tuple[int, Message]]] = None
         self.inferences = 0
         from repro.obs.runtime import current
 
@@ -311,15 +322,9 @@ class ResilientExecutor:
             self.sim.now, "exec.start",
             inference=self.inferences, batch=int(x.shape[0]),
         )
-        if self._transfers is None:
-            self._transfers = [
-                (layer_index, Message(src=src, dst=dst, n_values=n_values,
-                                      kind=f"layer{layer_index}"))
-                for layer_index, src, dst, n_values in executor.index.transfers
-            ]
         failed = 0
         poisoned: Dict[int, Set[int]] = {}
-        for layer_index, message in self._transfers:
+        for layer_index, message in executor.index.messages:
             if not self._attempt_transfer(layer_index, message):
                 failed += 1
                 poisoned.setdefault(feeding[layer_index], set()).add(

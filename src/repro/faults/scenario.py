@@ -13,13 +13,14 @@ share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.core.assignment import Placement, grid_correspondence_assignment
 from repro.core.executor import DistributedExecutor
+from repro.core.placement_index import PlacementIndex
 from repro.core.training import MicroDeepTrainer
 from repro.core.unitgraph import UnitGraph
 from repro.faults.links import LinkFaultModel
@@ -38,12 +39,22 @@ from repro.wsn.topology import GridTopology
 
 @dataclass
 class FaultScenario:
-    """The system under test: model + placement + deployment."""
+    """The system under test: model + placement + deployment.
+
+    :attr:`index` is the placement's
+    :class:`~repro.core.placement_index.PlacementIndex`, built once
+    here: every :func:`inject` cell's executor shares it (its
+    transfers and their messages, owners and gather memos).
+    """
 
     model: object          # built repro.nn.Sequential
     graph: UnitGraph
     placement: Placement
     topology: GridTopology
+    index: PlacementIndex = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.index = PlacementIndex(self.graph, self.placement)
 
 
 @dataclass
@@ -100,7 +111,8 @@ def inject(
     )
     network = Network(scenario.topology, link_faults=link_faults)
     base = DistributedExecutor(
-        scenario.model, scenario.graph, scenario.placement, network
+        scenario.model, scenario.graph, scenario.placement, network,
+        index=scenario.index,
     )
     if recorder is not None and recorder.enabled:
         recorder.bind_clock(clock)

@@ -8,19 +8,45 @@ zero fallback, skipped weight update) is appended to a
 assert on *how* the system failed, not just that it survived, so the
 trace serializes canonically: :meth:`FaultTrace.to_jsonl` is
 byte-identical for two runs of the same plan and seed.
+
+Each record's canonical line is built once and kept on the record
+(:attr:`TraceRecord.line`).  A chaos cell logs ~250 records, yet the
+32 cells of a benchmark campaign (8 plan seeds x 4 loss rates) share
+~250 distinct ``(kind, detail)`` pairs: the time is the one field that
+keeps changing.  So a record whose detail values are all exact ``int``
+or ``str`` takes its line's head (everything before the time) from a
+process-wide cache, and appends ``repr(time)`` and ``}``.
+:meth:`FaultTrace.digest` and :meth:`FaultTrace.to_jsonl` join the
+stored lines.  :meth:`TraceRecord.to_json` stays the oracle:
+:meth:`FaultTrace.record_reference` and
+:meth:`FaultTrace.digest_reference` are the pre-optimization paths the
+parity tests compare against.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List
+from functools import cached_property
+from typing import Dict, Iterator, List, Tuple
 
 #: The canonical record encoder (sorted keys, compact separators),
 #: shared: ``json.dumps`` with non-default settings builds a new
 #: encoder on every call.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+#: Detail value types that are already canonical and encode the same
+#: way in every record: exact types only (``bool`` and numpy integers
+#: are hash-equal to ints but encode differently).
+_PLAIN_TYPES = frozenset((int, str))
+
+#: ``(kind, sorted detail items)`` -> the canonical line up to and
+#: including ``"t":``.  A pure function of its key, shared by every
+#: trace in the process and cleared when full.
+_HEADS: Dict[Tuple[str, tuple], str] = {}
+_HEADS_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -39,9 +65,29 @@ class TraceRecord:
     detail: Dict[str, object] = field(default_factory=dict)
 
     def to_json(self) -> str:
+        """The canonical line, encoded from the fields (the oracle)."""
         return _ENCODER.encode(
             {"t": self.time, "kind": self.kind, "detail": self.detail}
         )
+
+    @cached_property
+    def line(self) -> str:
+        """The canonical line, encoded once per record object:
+        :meth:`FaultTrace.record` sets it from the head cache, any
+        other record encodes it with :meth:`to_json` on first use."""
+        return self.to_json()
+
+    @classmethod
+    def _with_line(
+        cls, time: float, kind: str, detail: Dict[str, object], line: str
+    ) -> "TraceRecord":
+        """A record whose :attr:`line` is already known.  Fills the
+        instance dict in one update, as unpickling does: the frozen
+        ``__init__`` sets each field through ``object.__setattr__``,
+        which costs more than the rest of :meth:`FaultTrace.record`."""
+        rec = object.__new__(cls)
+        vars(rec).update(time=time, kind=kind, detail=detail, line=line)
+        return rec
 
 
 class FaultTrace:
@@ -69,7 +115,40 @@ class FaultTrace:
         return list(self._records)
 
     def record(self, time: float, kind: str, **detail) -> TraceRecord:
-        """Append one record; detail values are canonicalized."""
+        """Append one record; detail values are canonicalized.
+
+        When every detail value is an exact ``int`` or ``str`` and the
+        time is finite, the values are canonical as they are and the
+        record's line is the cached head plus ``repr(time)`` and
+        ``}`` (byte-equal to :meth:`TraceRecord.to_json`).  Any other
+        record takes :meth:`record_reference`.
+        """
+        time = float(time)
+        if not (_PLAIN_TYPES.issuperset(map(type, detail.values()))
+                and math.isfinite(time)):
+            return self.record_reference(time, kind, **detail)
+        kind = str(kind)
+        items = tuple(sorted(detail.items()))
+        key = (kind, items)
+        head = _HEADS.get(key)
+        if head is None:
+            if len(_HEADS) >= _HEADS_MAX:
+                _HEADS.clear()
+            # "t" sorts last, so the oracle's line ends in '"t":0.0}'.
+            head = _HEADS[key] = TraceRecord(0.0, kind, dict(items)) \
+                .to_json()[:-len("0.0}")]
+        rec = TraceRecord._with_line(
+            time, kind, dict(items), head + repr(time) + "}"
+        )
+        self._records.append(rec)
+        return rec
+
+    def record_reference(
+        self, time: float, kind: str, **detail
+    ) -> TraceRecord:
+        """Pre-optimization :meth:`record`: every detail value goes
+        through the recursive canonicalizer, and the line is encoded
+        by :meth:`TraceRecord.to_json` when first needed."""
         canonical = self._canonical
         rec = TraceRecord(
             time=float(time),
@@ -81,7 +160,8 @@ class FaultTrace:
 
     def append(self, rec: TraceRecord) -> None:
         """Append an existing record again (records are frozen, so one
-        event repeated at one instant can share a single object)."""
+        event repeated at one instant can share a single object, and
+        its one line)."""
         self._records.append(rec)
 
     def of_kind(self, prefix: str) -> List[TraceRecord]:
@@ -111,9 +191,17 @@ class FaultTrace:
 
     def to_jsonl(self) -> str:
         """Canonical JSON-lines serialization (sorted keys, compact
-        separators): byte-identical across runs of the same seed."""
-        return "\n".join(r.to_json() for r in self._records)
+        separators): byte-identical across runs of the same seed.
+        Joins the records' stored lines."""
+        return "\n".join([r.line for r in self._records])
 
     def digest(self) -> str:
         """SHA-256 of :meth:`to_jsonl` — a compact determinism pin."""
         return hashlib.sha256(self.to_jsonl().encode("utf-8")).hexdigest()
+
+    def digest_reference(self) -> str:
+        """:meth:`digest` re-encoding every record with
+        :meth:`TraceRecord.to_json` (the pre-optimization path, kept
+        for the parity tests and ``repro bench``'s ``fault_trace``)."""
+        text = "\n".join(r.to_json() for r in self._records)
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()

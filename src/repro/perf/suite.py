@@ -30,6 +30,11 @@ Workloads:
   **< 5 % overhead** with tracing on (``counters.overhead_pct``);
 - ``timeline_overhead`` — the same forward plus a flight-recorder
   tick per pass vs. telemetry off, under the same budget;
+- ``fault_trace`` — one chaos cell's fault-trace bookkeeping:
+  ``FaultTrace.record`` + ``digest()`` (cached line heads) vs. the
+  recursive canonicalizer + ``digest_reference()`` re-encoding every
+  record; equal hex digests are asserted untimed before the clocks
+  start;
 - ``serve_throughput`` — the serving stack end to end: a closed-loop
   asyncio load generator against a live :mod:`repro.serve` app on an
   ephemeral port, micro-batching on vs. off at the same offered
@@ -599,6 +604,91 @@ def bench_timeline_overhead(
     return entry
 
 
+#: Replays of the recorded cell per timed ``fault_trace`` run: one
+#: cell's ~250 records take well under a millisecond.
+_CELLS_PER_RUN = 20
+
+
+def bench_fault_trace(protocol: BenchProtocol, seed: int, quick: bool) -> Dict:
+    """Fault-trace bookkeeping of one ``fault_campaign`` cell.
+
+    The input is the record stream of one
+    :func:`~repro.faults.sweeps.chaos_cell_point` cell (plan seed
+    ``seed``, loss 0.3, on the trained demo scenario), captured once,
+    untimed.  The fast side replays it through
+    :meth:`~repro.faults.FaultTrace.record` and digests with
+    :meth:`~repro.faults.FaultTrace.digest`; the reference side
+    replays it through ``record_reference`` (every value through the
+    recursive canonicalizer) and digests with ``digest_reference``
+    (every record re-encoded by ``to_json``).  Each timed run replays
+    the cell :data:`_CELLS_PER_RUN` times, the two sides' runs
+    alternate, and ``runs_s`` are per cell.  Before the clocks start,
+    both sides' hex digests are asserted equal to the cell's own.
+    """
+    from repro.faults import FaultPlan, FaultTrace, RetryPolicy, inject
+    from repro.faults.sweeps import build_chaos_shared, chaos_cell_point
+    from repro.par import SweepPoint
+
+    shared = build_chaos_shared(seed)
+    scenario = shared["scenario"]
+    # chaos_cell_point's plan and policy at loss 0.3 (its digest below
+    # is the check that this is the same cell).
+    plan = FaultPlan.random(
+        seed=seed, node_ids=sorted(scenario.topology.nodes), horizon=0.5,
+        loss_rate=0.3, n_crashes=1, n_brownouts=1,
+    )
+    run = inject(scenario, plan, policy=RetryPolicy(max_retries=2))
+    run.accuracy(shared["x"], shared["y"], chunks=2)
+    cell = chaos_cell_point(
+        SweepPoint(index=0, seed=seed, config={"loss_rate": 0.3}),
+        None, shared,
+    )
+    recorded = [(r.time, r.kind, r.detail) for r in run.trace]
+
+    def fast() -> str:
+        replay = FaultTrace()
+        for t, kind, detail in recorded:
+            replay.record(t, kind, **detail)
+        return replay.digest()
+
+    def reference() -> str:
+        replay = FaultTrace()
+        for t, kind, detail in recorded:
+            replay.record_reference(t, kind, **detail)
+        return replay.digest_reference()
+
+    digests = {fast(), reference(), run.trace.digest(),
+               cell["fault_trace_digest"]}
+    if len(digests) != 1:
+        raise AssertionError(  # pragma: no cover - parity contract
+            f"fault-trace digests diverged: {sorted(digests)}"
+        )
+    counters = CounterRegistry()
+    counters.set("parity_digest_equal", 1.0)
+    counters.set("records", len(recorded))
+    counters.set("distinct_kinds", len({kind for __, kind, __ in recorded}))
+    counters.set("cells_per_run", _CELLS_PER_RUN)
+
+    runs = {fast: [], reference: []}
+    for i in range(protocol.warmup + protocol.repeat):
+        for side, out in runs.items():
+            start = time.perf_counter()
+            for __ in range(_CELLS_PER_RUN):
+                side()
+            elapsed = time.perf_counter() - start
+            if i >= protocol.warmup:
+                out.append(elapsed / _CELLS_PER_RUN)
+    return _entry(
+        "fault_trace",
+        {"plan_seed": seed, "loss_rate": 0.3,
+         "cells_per_run": _CELLS_PER_RUN, "seed": seed},
+        input_digest(extra=f"fault_trace seed={seed} "
+                           f"cell={cell['fault_trace_digest']}"),
+        TimingStats(runs[fast]), TimingStats(runs[reference]),
+        counters.to_dict(),
+    )
+
+
 def bench_serve_throughput(
     protocol: BenchProtocol, seed: int, quick: bool
 ) -> Dict:
@@ -966,6 +1056,7 @@ _BENCHMARKS = (
     bench_local_backward,
     bench_telemetry_overhead,
     bench_timeline_overhead,
+    bench_fault_trace,
     bench_serve_throughput,
     bench_city_scale,
 )

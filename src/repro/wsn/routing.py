@@ -3,10 +3,10 @@
 :func:`shortest_path_route` is the network's default router.  It
 resolves through :meth:`Topology.route`: a bidirectional BFS over the
 geometry-keyed CSR adjacency that skips dead nodes, behind one route
-memo per (geometry, liveness) state.  An alive flip therefore rebuilds
-nothing — it only starts a fresh memo — and replay/compile loops that
-issue thousands of routes per topology state pay one BFS per distinct
-pair.  The BFS copies networkx's bidirectional expansion order, so
+memo per alive state.  An alive flip therefore rebuilds nothing — it
+only switches memos, to a fresh one unless the new alive state was seen
+before — and replay/compile loops that issue thousands of routes per
+topology state pay one BFS per distinct pair.  The BFS copies networkx's bidirectional expansion order, so
 every route equals ``nx.shortest_path`` on the alive connectivity
 graph.  Where networkx keeps a ``pred`` dict for the forward frontier
 and a ``succ`` dict for the reverse one, the BFS keeps one side byte

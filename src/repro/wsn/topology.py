@@ -17,10 +17,12 @@ two kinds of mutation key different caches:
   geometry-keyed structures.
 
 Routing (:meth:`Topology.route`) is a bidirectional BFS over the CSR
-rows that skips dead nodes, behind one route memo per (geometry,
-liveness) state.  :attr:`Topology.epoch` bumps on both kinds of
-mutation, for consumers whose state depends on either (compiled
-plans).
+rows that skips dead nodes, behind one route memo per alive state: the
+memos are keyed by the bytes of the alive flags, so a node that goes
+down and comes back finds its earlier routes again.  Up to
+:data:`ROUTE_MEMO_STATES` states are kept per geometry.
+:attr:`Topology.epoch` bumps on both kinds of mutation, for consumers
+whose state depends on either (compiled plans).
 
 The pre-optimization brute-force implementations are kept verbatim as
 ``*_reference`` parity oracles (the repo's established idiom); the
@@ -42,6 +44,12 @@ from repro.wsn.spatial import GridHashIndex, SparseAdjacency, build_adjacency
 _UNSEEN, _FORWARD, _REVERSE, _DEAD = 0, 1, 2, 3
 #: ``translate`` table from an alive flag to the node's starting side.
 _SIDE_OF_ALIVE = bytes([_DEAD, _UNSEEN]) + bytes(254)
+
+#: Route memos kept per geometry, one per alive state, least recently
+#: entered dropped first.  Faults replay few states (all alive, then a
+#: crash or brownout set); churn that never repeats a state holds at
+#: most this many memos.
+ROUTE_MEMO_STATES = 64
 
 
 def _grow_level(
@@ -84,10 +92,12 @@ class Topology:
     A move bumps :attr:`geometry_epoch`, which keys the spatial index,
     the sparse adjacency and its BFS rows.  An ``alive`` flip bumps
     :attr:`liveness_epoch` only.  The routing graph
-    :meth:`cached_graph` and the route memo key on both; :attr:`epoch`
-    bumps on either.  Caches rebuild lazily, so un-mutated steady state
-    pays zero rebuild cost.  The node *set* is fixed at construction;
-    do not add or remove entries from :attr:`nodes` directly.
+    :meth:`cached_graph` keys on both; :attr:`epoch` bumps on either.
+    Route memos key on the geometry and the alive flags themselves, so
+    a flip back to a state seen before reuses its routes.  Caches
+    rebuild lazily, so un-mutated steady state pays zero rebuild cost.
+    The node *set* is fixed at construction; do not add or remove
+    entries from :attr:`nodes` directly.
     """
 
     def __init__(self, nodes: List[SensorNode], comm_range: float) -> None:
@@ -132,6 +142,11 @@ class Topology:
         # (geometry, liveness)-keyed caches.
         self._graph: Optional[nx.Graph] = None
         self._graph_key: Optional[Tuple[int, int]] = None
+        # Route memos: alive-flag bytes -> {(src, dst): route}, for
+        # the geometry _memos_geometry names; _routes is the current
+        # state's memo, valid while _routes_key is (geometry, liveness).
+        self._memos: Dict[bytes, Dict] = {}
+        self._memos_geometry = -1
         self._routes: Dict[Tuple[int, int], Optional[Tuple[int, ...]]] = {}
         self._routes_key: Optional[Tuple[int, int]] = None
         for n in self._nodes_list:
@@ -163,7 +178,7 @@ class Topology:
     @property
     def liveness_epoch(self) -> int:
         """Bumps on ``alive`` flips; with :attr:`geometry_epoch` it keys
-        :meth:`cached_graph` and the route memo."""
+        :meth:`cached_graph`."""
         return self._liveness
 
     def _load_state(self) -> None:
@@ -306,13 +321,15 @@ class Topology:
         """Memoized hop-minimizing route over the alive nodes (the
         contract of :func:`repro.wsn.routing.shortest_path_route`).
 
-        One memo per (geometry, liveness) state: any move or flip
-        starts a fresh one.  Each call returns a new list, so a caller
+        One memo per alive state (:meth:`_route_memo`): a flip moves to
+        the memo of the new state, which is a fresh one unless that
+        state was seen before.  A move or :meth:`invalidate_caches`
+        drops every memo.  Each call returns a new list, so a caller
         that edits its route cannot corrupt the memo.
         """
         state = (self._geometry, self._liveness)
         if self._routes_key != state:
-            self._routes = {}
+            self._routes = self._route_memo()
             self._routes_key = state
         routes = self._routes
         key = (src, dst)
@@ -321,6 +338,24 @@ class Topology:
         else:
             route = routes[key] = self._bfs_route(src, dst)
         return None if route is None else list(route)
+
+    def _route_memo(self) -> Dict:
+        """The route memo of the current alive state, keyed by the bytes
+        of the alive flags.  Memos of an older geometry are dropped; at
+        most :data:`ROUTE_MEMO_STATES` are kept, the one entered least
+        recently going first."""
+        memos = self._memos
+        if self._memos_geometry != self._geometry:
+            memos.clear()
+            self._memos_geometry = self._geometry
+        key = bytes(self._alive_flags)
+        memo = memos.pop(key, None)
+        if memo is None:
+            memo = {}
+            if len(memos) >= ROUTE_MEMO_STATES:
+                del memos[next(iter(memos))]
+        memos[key] = memo
+        return memo
 
     def _bfs_route(self, src: int, dst: int) -> Optional[Tuple[int, ...]]:
         """Bidirectional BFS over the CSR rows, dead nodes skipped.

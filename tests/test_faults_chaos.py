@@ -252,3 +252,74 @@ def test_telemetry_reconciles_under_lossy_bulk_fallback(trained):
         stats = network.stats
         assert stats.dropped > 0  # the lossy path actually exercised
         assert set(stats.dropped_causes) == {"loss"}
+
+
+@pytest.mark.chaos
+def test_one_placement_index_per_scenario(trained, monkeypatch):
+    """A scenario builds its placement index, and with it the transfer
+    list and its messages, once: a 4-cell sweep of
+    ``chaos_cell_point`` and a 4-loss-rate ``chaos_curve_point``
+    (eight injections) share them."""
+    from repro.core import costmodel, placement_index
+    from repro.faults import FaultScenario
+    from repro.wsn.network import Message
+
+    scenario, x, y = trained
+    builds, transfer_calls, messages = [], [], []
+    init = placement_index.PlacementIndex.__init__
+    transfers = costmodel.placement_transfers
+    post_init = Message.__post_init__
+
+    def counting_message(message):
+        messages.append(message)
+        post_init(message)
+
+    def counting_init(self, graph, placement):
+        builds.append(placement)
+        init(self, graph, placement)
+
+    def counting_transfers(*args, **kwargs):
+        transfer_calls.append(args)
+        return transfers(*args, **kwargs)
+
+    monkeypatch.setattr(placement_index.PlacementIndex, "__init__",
+                        counting_init)
+    monkeypatch.setattr(placement_index, "placement_transfers",
+                        counting_transfers)
+    monkeypatch.setattr(Message, "__post_init__", counting_message)
+    fresh = FaultScenario(scenario.model, scenario.graph,
+                          scenario.placement, scenario.topology)
+    shared = scenario_shared(fresh, x[:8], y[:8])
+    run_sweep("repro.faults.sweeps:chaos_cell_point",
+              make_points(seeds=[3], grid={"loss_rate": LOSS_RATES}),
+              shared=shared)
+    chaos_curve_point(SweepPoint(index=0, seed=3, config={}),
+                      np.random.default_rng(0), shared)
+    assert builds == [scenario.placement]
+    assert len(transfer_calls) == 1
+    assert len(messages) == len(fresh.index.transfers)
+    assert inject(fresh, FaultPlan()).executor.executor.index is fresh.index
+
+
+def test_executor_rejects_an_index_of_another_deployment(trained):
+    from repro.core import (
+        DistributedExecutor,
+        PlacementIndex,
+        UnitGraph,
+        grid_correspondence_assignment,
+    )
+    from repro.wsn import Network
+
+    scenario, __, __ = trained
+    network = Network(scenario.topology)
+    args = (scenario.model, scenario.graph, scenario.placement, network)
+    index = PlacementIndex(scenario.graph, scenario.placement)
+    assert DistributedExecutor(*args, index=index).index is index
+    other_graph = UnitGraph(scenario.model)
+    other_placement = grid_correspondence_assignment(
+        scenario.graph, scenario.topology
+    )
+    for bad in (PlacementIndex(other_graph, scenario.placement),
+                PlacementIndex(scenario.graph, other_placement)):
+        with pytest.raises(ValueError, match="index was not built"):
+            DistributedExecutor(*args, index=bad)

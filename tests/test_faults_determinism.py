@@ -15,9 +15,11 @@ from repro.backscatter.mac import (
 )
 from repro.core import UnitGraph, grid_correspondence_assignment
 from repro.faults import (
+    FaultEvent,
     FaultPlan,
     FaultTrace,
     LinkFaultModel,
+    RetryPolicy,
     demo_scenario,
     inject,
 )
@@ -58,6 +60,51 @@ class TestPlanDeterminism:
         a = FaultPlan.random(7, ids, horizon=1.0, n_crashes=2)
         b = FaultPlan.random(8, ids, horizon=1.0, n_crashes=2)
         assert a.events != b.events
+
+
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
+class TestFaultParameterValidation:
+    """Non-finite and non-integer fault parameters are rejected where
+    they enter, with a ValueError naming the field."""
+
+    @pytest.mark.parametrize("horizon", NON_FINITE)
+    def test_random_plan_horizon(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            FaultPlan.random(0, list(range(9)), horizon=horizon)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("name,kind", [
+        ("time", "crash"), ("duration", "brownout"),
+        ("factor", "clock_drift"), ("factor", "crash"),
+    ])
+    def test_event_fields(self, name, kind, bad):
+        fields = {"time": 0.1, "kind": kind, "node": 0, "duration": 0.2,
+                  "factor": 1.5, name: bad}
+        with pytest.raises(ValueError, match=f"event {name} must be finite"):
+            FaultEvent(**fields)
+
+    def test_infinite_drift_never_reaches_the_trace(self):
+        with pytest.raises(ValueError, match="factor"):
+            FaultPlan(seed=0).clock_drift(0.0, 1, float("inf"))
+
+    @pytest.mark.parametrize("retries", [True, False, 2.5, 2.0, "2", None])
+    def test_retry_count_must_be_an_integer(self, retries):
+        with pytest.raises(ValueError, match="max_retries"):
+            RetryPolicy(max_retries=retries)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("name", ["attempt_latency_s", "timeout_s"])
+    def test_retry_times(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            RetryPolicy(**{name: bad})
+
+    def test_valid_parameters_still_accepted(self):
+        assert RetryPolicy(max_retries=np.int64(3)).max_retries == 3
+        plan = FaultPlan.random(3, list(range(9)), horizon=0.5,
+                                n_brownouts=1, n_drifts=1)
+        assert len(plan.events) == 3
 
 
 class TestWsnPathDeterminism:

@@ -9,12 +9,16 @@ here is *intentional*, regenerate the constants by running this file's
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import UnitGraph, grid_correspondence_assignment
 from repro.faults import FaultPlan, RetryPolicy, inject
+from repro.faults import trace as trace_module
 from repro.faults.scenario import FaultScenario
 from repro.faults.trace import FaultTrace, TraceRecord
 from repro.nn import Conv2D, Dense, Flatten, ReLU, Sequential
@@ -174,8 +178,9 @@ class TestGoldenTrace:
         assert all(s.time > done[0].time for s in stales)
 
     def test_messages_built_on_first_inference_only(self, monkeypatch):
-        """The executor builds one message per transfer on its first
-        inference and reuses them; the trace is still the golden one."""
+        """The scenario's placement index builds one message per
+        transfer on the first inference, and every later inference
+        (and cell) reuses them; the trace is still the golden one."""
         built = []
         post_init = Message.__post_init__
 
@@ -229,3 +234,155 @@ class TestTraceEncoding:
         a.record(0.0, "x", n=1)
         b.record(0.0, "x", n=2)
         assert a.digest() != b.digest()
+
+
+# -- stored lines against the to_json oracle ---------------------------------
+PARITY = settings(derandomize=True, max_examples=200, deadline=None)
+
+#: Record times: plain and numpy floats, ints, signed zeros, non-finite.
+times = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 1e-300, 1e300, 0.1 + 0.2]),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.floats(width=32, allow_nan=True, allow_infinity=True).map(np.float32),
+    st.integers(-(10**6), 10**6),
+)
+
+#: Strings with quotes, backslashes, unicode and control characters.
+texts = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(['"', "\\", '\\"', "\n\t\x00\x1f", "ü€😀", "\u2028"]),
+)
+
+scalars = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.none(),
+    texts,
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(allow_nan=False).map(np.float64),
+    st.booleans().map(np.bool_),
+)
+
+values = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.tuples(inner, inner),
+        st.dictionaries(texts, inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+
+#: Detail keys: any string that is not one of record()'s own
+#: parameter names.
+keys = texts.filter(lambda k: k not in ("self", "time", "kind"))
+
+#: A record's kind and detail, mostly plain (exact int/str) so that
+#: the head cache is hit, with every other value type mixed in.
+records = st.tuples(
+    times,
+    st.sampled_from(["link.drop", "degrade.zero", "x"]) | texts,
+    st.dictionaries(
+        keys, st.one_of(st.integers(), texts, values), max_size=4
+    ),
+)
+
+
+def assert_lines_match_oracle(trace: FaultTrace) -> None:
+    for rec in trace:
+        assert rec.line == rec.to_json()
+    assert trace.digest() == trace.digest_reference()
+    assert trace.to_jsonl() == "\n".join(r.to_json() for r in trace)
+
+
+class TestTraceLineParity:
+    """Every stored line equals :meth:`TraceRecord.to_json`, and the
+    records equal those of :meth:`FaultTrace.record_reference`."""
+
+    @PARITY
+    @given(st.lists(records, max_size=12))
+    def test_lines_equal_oracle(self, batch):
+        trace, reference = FaultTrace(), FaultTrace()
+        for time, kind, detail in batch:
+            # Twice: the second record of a plain pair hits the cache.
+            for __ in range(2):
+                rec = trace.record(time, kind, **detail)
+                ref = reference.record_reference(time, kind, **detail)
+                assert rec.line == ref.to_json()
+                assert [type(v) for v in rec.detail.values()] == [
+                    type(v) for v in ref.detail.values()
+                ]
+        assert_lines_match_oracle(trace)
+        assert trace.digest() == reference.digest_reference()
+
+    @pytest.mark.parametrize("order", [
+        (1, True, 1.0, np.int64(1)),
+        (True, 1, np.int64(1), 1.0),
+        (1.0, np.int64(1), 1, True),
+    ])
+    def test_hash_equal_values_keep_their_encoding(self, order):
+        """``True``, ``1``, ``1.0`` and ``np.int64(1)`` are equal,
+        hash-equal dict keys; under one detail key each still gets the
+        oracle's line, whichever came first."""
+        trace = FaultTrace()
+        for value in order:
+            trace.record(0.5, "k.hash-equal", n=value)
+        assert_lines_match_oracle(trace)
+        tails = {
+            type(value): rec.line.split('"n":')[1].split("}")[0]
+            for value, rec in zip(order, trace)
+        }
+        assert tails == {
+            int: "1", bool: "true", float: "1.0", np.int64: "1",
+        }
+
+    def test_non_finite_times_take_the_oracle_path(self):
+        trace = FaultTrace()
+        for time in (float("nan"), float("inf"), -float("inf"), -0.0):
+            trace.record(time, "x", n=1)
+        assert_lines_match_oracle(trace)
+        assert [r.line.rsplit('"t":', 1)[1] for r in trace] == [
+            "NaN}", "Infinity}", "-Infinity}", "-0.0}",
+        ]
+
+    def test_appended_records_share_one_line(self):
+        """10,000 appends of one record allocate no string each: a
+        per-append encoding would cost ~100 bytes a call, the record
+        list's own growth ~9."""
+        trace = FaultTrace()
+        rec = trace.record(0.0, "degrade.update-skipped", layer=0, node=5)
+        trace.append(rec)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for __ in range(10_000):
+                trace.append(rec)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 10_000 * 24, grown
+        assert len({id(r.line) for r in trace}) == 1
+        assert_lines_match_oracle(trace)
+
+    def test_foreign_record_is_encoded_once(self):
+        """A record built outside :meth:`FaultTrace.record` encodes its
+        line on first use and keeps it."""
+        trace = FaultTrace()
+        rec = TraceRecord(time=1.25, kind="x", detail={"a": [1, 2]})
+        trace.append(rec)
+        trace.append(rec)
+        assert rec.line is rec.line
+        assert_lines_match_oracle(trace)
+
+    def test_head_cache_is_bounded(self):
+        trace = FaultTrace()
+        for i in range(trace_module._HEADS_MAX + 10):
+            trace.record(0.25, f"k{i}", n=i)
+        assert 0 < len(trace_module._HEADS) <= trace_module._HEADS_MAX
+        assert_lines_match_oracle(trace)
+
+    def test_golden_run_lines(self, golden_run):
+        assert_lines_match_oracle(golden_run.trace)
+        assert golden_run.trace.digest_reference() == GOLDEN_DIGEST

@@ -47,7 +47,7 @@ class TestBenchCli:
         assert names == [
             "traffic_replay_batched", "forward_plan",
             "forward_masked_dead20", "im2col_unfold", "local_backward",
-            "telemetry_overhead", "timeline_overhead",
+            "telemetry_overhead", "timeline_overhead", "fault_trace",
             "serve_throughput", "city_scale",
         ]
 
@@ -65,6 +65,19 @@ class TestBenchCli:
         assert counters["update_skips"] > 0
         assert counters["n_dead_nodes"] >= 1
         assert bench["params"]["dead_nodes"]
+        assert bench["reference_timing"]["best_s"] > 0
+        assert bench["speedup"] > 0
+
+    def test_fault_trace_entry_certifies_digest_parity(self, quick_report):
+        """The fault-trace entry replays one chaos cell both ways and
+        carries the equal-digest certification next to its speedup."""
+        __, report = quick_report
+        bench = next(
+            b for b in report["benchmarks"] if b["name"] == "fault_trace"
+        )
+        counters = bench["counters"]
+        assert counters["parity_digest_equal"] == 1
+        assert counters["records"] > 100
         assert bench["reference_timing"]["best_s"] > 0
         assert bench["speedup"] > 0
 

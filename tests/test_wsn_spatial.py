@@ -20,6 +20,8 @@ from collections import Counter
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.wsn import (
@@ -505,6 +507,97 @@ class TestRouteParityAtScale:
         for i in rng.choice(ids, len(ids) // 4, replace=False).tolist():
             topo.node(i).alive = False
         assert_routes_match_nx(topo, pairs)
+
+
+def counting_bfs(monkeypatch):
+    """Count ``Topology._bfs_route`` calls (route memo misses)."""
+    calls = []
+    bfs = Topology._bfs_route
+
+    def counted(self, src, dst):
+        calls.append((src, dst))
+        return bfs(self, src, dst)
+
+    monkeypatch.setattr(Topology, "_bfs_route", counted)
+    return calls
+
+
+class TestRouteMemoPerAliveState:
+    """Route memos are kept per alive state: a state seen before needs
+    no BFS, a move or ``invalidate_caches()`` starts cold, and at most
+    ``ROUTE_MEMO_STATES`` states are kept."""
+
+    PAIRS = [(0, 8), (2, 6), (8, 0), (1, 7), (3, 5), (4, 4), (0, 4)]
+
+    def test_flip_down_and_back_reuses_routes(self, monkeypatch):
+        topo = GridTopology(3, 3)
+        calls = counting_bfs(monkeypatch)
+        first = [topo.route(s, d) for s, d in self.PAIRS]
+        assert len(calls) == len(self.PAIRS)
+        topo.node(4).alive = False
+        down = [topo.route(s, d) for s, d in self.PAIRS]
+        assert len(calls) == 2 * len(self.PAIRS)
+        topo.node(4).alive = True
+        del calls[:]
+        assert [topo.route(s, d) for s, d in self.PAIRS] == first
+        topo.node(4).alive = False
+        assert [topo.route(s, d) for s, d in self.PAIRS] == down
+        assert calls == []
+
+    @pytest.mark.parametrize("mutate", [
+        lambda topo: setattr(topo.node(0), "position", (0.0, 0.25)),
+        lambda topo: topo.invalidate_caches(),
+    ], ids=["move", "invalidate"])
+    def test_move_or_invalidate_starts_cold(self, monkeypatch, mutate):
+        topo = GridTopology(3, 3)
+        calls = counting_bfs(monkeypatch)
+        for s, d in self.PAIRS:
+            topo.route(s, d)
+        mutate(topo)
+        del calls[:]
+        for s, d in self.PAIRS:
+            topo.route(s, d)
+        assert len(calls) == len(self.PAIRS)
+        assert len(topo._memos) == 1
+
+    def test_states_kept_are_bounded(self, monkeypatch):
+        from repro.wsn.topology import ROUTE_MEMO_STATES
+
+        topo = GridTopology(10, 10)
+        calls = counting_bfs(monkeypatch)
+        for node in range(1, ROUTE_MEMO_STATES + 20):
+            topo.route(0, 99)
+            topo.node(node).alive = False
+            topo.route(0, 99)
+            topo.node(node).alive = True
+        assert len(topo._memos) == ROUTE_MEMO_STATES
+        # The all-alive memo was entered on every round, so it is kept;
+        # the first single-down states were dropped.
+        del calls[:]
+        topo.route(0, 99)
+        assert calls == []
+        topo.node(1).alive = False
+        topo.route(0, 99)
+        assert calls == [(0, 99)]
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(st.lists(
+        st.tuples(st.sampled_from(["flip", "move", "route"]),
+                  st.integers(0, 15), st.integers(0, 15)),
+        max_size=40,
+    ))
+    def test_flip_move_sequence_matches_reference(self, steps):
+        topo = GridTopology(4, 4)
+        for op, a, b in steps:
+            if op == "flip":
+                topo.node(a).alive = not topo.node(a).alive
+            elif op == "move":
+                x, y = topo.node(a).position
+                topo.node(a).position = (x, y + (b - 7.5) / 10.0)
+            for s, d in ((a, b), (b, a), (0, 15)):
+                assert shortest_path_route(topo, s, d) == (
+                    shortest_path_route_reference(topo, s, d)
+                )
 
 
 class TestGenerators:
