@@ -200,10 +200,25 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def cmd_faults_run(args) -> int:
-    """Run one fault-injected inference and report the trace."""
+def _demo_crash_plan(scenario, seed: int, crashes: int, **rates):
+    """The plan ``faults run`` and ``monitor demo`` arm: link fault
+    ``rates`` plus ``crashes`` nodes, drawn by ``default_rng(seed)``,
+    down at t=0."""
     import numpy as np
 
+    from repro.faults import FaultPlan
+
+    plan = FaultPlan(seed=seed, **rates)
+    node_ids = sorted(scenario.topology.nodes)
+    for node in np.random.default_rng(seed).choice(
+        node_ids, size=min(crashes, len(node_ids)), replace=False
+    ):
+        plan.crash(0.0, int(node))
+    return plan
+
+
+def cmd_faults_run(args) -> int:
+    """Run one fault-injected inference and report the trace."""
     from repro.faults import FaultPlan, demo_scenario, inject
 
     print(f"building demo scenario (seed {args.seed}) ...")
@@ -211,18 +226,10 @@ def cmd_faults_run(args) -> int:
     baseline = inject(scenario, FaultPlan(seed=args.seed))
     clean_acc = baseline.accuracy(x, y, chunks=2)
 
-    plan = FaultPlan(
-        seed=args.seed,
-        loss_rate=args.loss,
-        corrupt_rate=args.corrupt,
-        duplicate_rate=args.duplicate,
-    )
-    node_ids = sorted(scenario.topology.nodes)
-    rng = np.random.default_rng(args.seed)
-    for node in rng.choice(node_ids, size=min(args.crashes, len(node_ids)),
-                           replace=False):
-        plan.crash(0.0, int(node))
-    run = inject(scenario, plan)
+    run = inject(scenario, _demo_crash_plan(
+        scenario, args.seed, args.crashes, loss_rate=args.loss,
+        corrupt_rate=args.corrupt, duplicate_rate=args.duplicate,
+    ))
     acc = run.accuracy(x, y, chunks=2)
 
     print(f"\nfault plan: loss={args.loss:.0%} corrupt={args.corrupt:.0%} "
@@ -480,7 +487,11 @@ def cmd_sweep(args) -> int:
     print(f"sweeping {args.task!r}: {len(points)} points "
           f"({len(seeds)} seeds x {max(1, len(points) // len(seeds))} "
           f"configs), root seed {args.root_seed}")
-    report = run_sweep(args.task, points, root_seed=args.root_seed)
+    try:
+        report = run_sweep(args.task, points, root_seed=args.root_seed)
+    except ValueError as exc:
+        print(f"sweep {args.task}: {exc}", file=sys.stderr)
+        return 2
 
     header = f"{'idx':>4s} {'seed':>6s} {'config':32s} result"
     print(header)
@@ -613,18 +624,12 @@ def cmd_monitor(args) -> int:
         watchdog = obs.Watchdog(rules, telemetry=tel)
         recorder.attach(watchdog)
         if target == "demo":
-            from repro.faults import FaultPlan, demo_scenario, inject
+            from repro.faults import demo_scenario, inject
 
             print(f"building demo scenario (seed {args.seed}) ...")
             scenario, (x, y) = demo_scenario(seed=args.seed)
-            plan = FaultPlan(seed=args.seed, loss_rate=args.loss)
-            node_ids = sorted(scenario.topology.nodes)
-            rng = np.random.default_rng(args.seed)
-            for node in rng.choice(
-                node_ids, size=min(args.crashes, len(node_ids)),
-                replace=False,
-            ):
-                plan.crash(0.0, int(node))
+            plan = _demo_crash_plan(scenario, args.seed, args.crashes,
+                                    loss_rate=args.loss)
             run = inject(scenario, plan, recorder=recorder)
             acc = run.accuracy(x, y, chunks=args.chunks)
             recorder.sample()  # capture the end state

@@ -10,6 +10,7 @@ traces — the property the determinism suite pins.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
@@ -17,6 +18,16 @@ import numpy as np
 
 #: Recognised scheduled-event kinds.
 EVENT_KINDS = ("crash", "recover", "brownout", "clock_drift")
+
+
+def check_int(name: str, value, minimum: int = 0) -> None:
+    """Reject ``value`` unless it is an integer (not a bool) of at
+    least ``minimum``, with a ``ValueError`` naming ``name``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < minimum):
+        raise ValueError(
+            f"{name} must be an integer >= {minimum}, got {value!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -153,8 +164,13 @@ class FaultPlan:
         """A deterministic random plan for chaos testing.
 
         All draws come from ``default_rng(seed)`` in a fixed order, so
-        the same arguments always yield the same plan.
+        the same arguments always yield the same plan.  The seed and
+        the counts must be non-negative integers.
         """
+        counts = {"seed": seed, "n_crashes": n_crashes,
+                  "n_brownouts": n_brownouts, "n_drifts": n_drifts}
+        for name, value in counts.items():
+            check_int(name, value)
         if not (math.isfinite(horizon) and horizon > 0):
             raise ValueError(
                 f"horizon must be positive and finite, got {horizon}"
@@ -165,7 +181,7 @@ class FaultPlan:
             raise ValueError("need node ids to target faults at")
         rng = np.random.default_rng(seed)
         plan = FaultPlan(
-            seed=seed,
+            seed=int(seed),
             loss_rate=loss_rate,
             corrupt_rate=corrupt_rate,
             duplicate_rate=duplicate_rate,

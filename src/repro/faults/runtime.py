@@ -18,7 +18,6 @@ Three pieces plug the fault layer into the existing stack:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Set, Tuple
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from repro.core.executor import DistributedExecutor
 from repro.core.placement_index import INPUT
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, check_int
 from repro.faults.trace import FaultTrace, TraceRecord
 from repro.sim.engine import Simulator
 from repro.wsn.network import Message
@@ -153,15 +152,7 @@ class RetryPolicy:
     fallback: str = "stale"
 
     def __post_init__(self) -> None:
-        retries = self.max_retries
-        if isinstance(retries, bool) or not isinstance(
-            retries, numbers.Integral
-        ):
-            raise ValueError(
-                f"max_retries must be an integer, got {retries!r}"
-            )
-        if retries < 0:
-            raise ValueError("max_retries must be >= 0")
+        check_int("max_retries", self.max_retries)
         for name in ("attempt_latency_s", "timeout_s"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -368,8 +359,7 @@ class ResilientExecutor:
     ) -> float:
         """Accuracy over ``chunks`` independent inference calls (each
         chunk sees its own fault draws)."""
-        if chunks <= 0:
-            raise ValueError(f"chunks must be positive, got {chunks}")
+        check_int("chunks", chunks, minimum=1)
         y = np.asarray(y)
         correct = 0
         for xb, yb in zip(

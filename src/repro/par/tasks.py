@@ -7,13 +7,15 @@ makes it addressable from the command line::
     repro sweep chaos --seeds 0-4 --grid loss_rate=0.0,0.2,0.4
 
 CLI tasks are **self-contained**: they receive no ``shared`` payload,
-so anything expensive (the trained demo scenario) is built on first
-use and memoized per process — a sweep pays the build once however
-many points it has.
+so anything expensive is built on first use and memoized per process
+— a sweep pays the build once however many points it has.  ``chaos``
+is one :func:`repro.faults.sweeps.chaos_cell` over the trained demo
+scenario, memoized per build parameters.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict
 
 #: name -> task function; the CLI's task namespace.
@@ -38,68 +40,38 @@ def available_tasks() -> Dict[str, str]:
     }
 
 
-#: Process-local cache of trained demo scenarios, keyed by their
-#: build parameters, so one sweep trains once however many points it
-#: has.
-_SCENARIO_CACHE: Dict[tuple, object] = {}
+@functools.lru_cache(maxsize=None)
+def _chaos_shared(scenario_seed: int, n_samples: int, epochs: int):
+    """The ``shared`` payload (trained demo scenario plus test set)
+    of these build parameters, built once per process however many
+    points a sweep has."""
+    from repro.faults.sweeps import build_chaos_shared
 
-
-def _demo(seed: int, n_samples: int, epochs: int):
-    from repro.faults import demo_scenario
-
-    key = (seed, n_samples, epochs)
-    if key not in _SCENARIO_CACHE:
-        _SCENARIO_CACHE[key] = demo_scenario(
-            seed=seed, n_samples=n_samples, epochs=epochs
-        )
-    return _SCENARIO_CACHE[key]
+    return build_chaos_shared(scenario_seed, n_samples, epochs)
 
 
 @sweep_task("chaos")
 def chaos_task(point, rng, shared):
     """One fault-injected inference run on the trained demo scenario.
 
-    Config knobs (all optional): ``loss_rate``, ``corrupt_rate``,
-    ``duplicate_rate``, ``n_crashes``, ``n_brownouts``, ``horizon``,
-    ``max_retries``, plus scenario build parameters ``scenario_seed``,
+    Config knobs (all optional): the chaos cell's ``loss_rate``
+    (default 0.2), ``corrupt_rate``, ``duplicate_rate``, ``horizon``,
+    ``n_crashes``, ``n_brownouts``, ``max_retries`` and ``chunks``
+    (see :data:`repro.faults.sweeps.CELL_DEFAULTS`), plus the
+    integer scenario build parameters ``scenario_seed``,
     ``n_samples``, ``epochs``.  The point's ``seed`` drives the fault
     plan.
     """
-    from repro.faults import FaultPlan, RetryPolicy, inject
+    from repro.faults.plan import check_int
+    from repro.faults.sweeps import cell_summary, chaos_cell
 
-    cfg = point.config
-    scenario, (x, y) = _demo(
-        int(cfg.get("scenario_seed", 0)),
-        int(cfg.get("n_samples", 80)),
-        int(cfg.get("epochs", 4)),
-    )
-    seed = int(point.seed if point.seed is not None else 0)
-    plan = FaultPlan.random(
-        seed=seed,
-        node_ids=sorted(scenario.topology.nodes),
-        horizon=float(cfg.get("horizon", 0.5)),
-        loss_rate=float(cfg.get("loss_rate", 0.2)),
-        corrupt_rate=float(cfg.get("corrupt_rate", 0.0)),
-        duplicate_rate=float(cfg.get("duplicate_rate", 0.0)),
-        n_crashes=int(cfg.get("n_crashes", 1)),
-        n_brownouts=int(cfg.get("n_brownouts", 1)),
-    )
-    run = inject(
-        scenario, plan,
-        policy=RetryPolicy(max_retries=int(cfg.get("max_retries", 2))),
-    )
-    accuracy = run.accuracy(x, y, chunks=4)
-    summary = run.trace.summary()
-    return {
-        "accuracy": accuracy,
-        "fault_trace_digest": run.trace.digest(),
-        "fault_records": len(run.trace),
-        "drops": summary.get("link.drop", 0),
-        "retries_recovered": summary.get("retry.recovered", 0),
-        "transfers_exhausted": summary.get("degrade.transfer-failed", 0),
-        "inferences": run.executor.inferences,
-        "time_monotonic": run.trace.is_time_monotonic(),
-    }
+    cfg = dict(point.config)
+    build = {"scenario_seed": 0, "n_samples": 80, "epochs": 4}
+    for key in build:
+        build[key] = cfg.pop(key, build[key])
+        check_int(key, build[key])
+    shared = _chaos_shared(*build.values())
+    return cell_summary(*chaos_cell(shared, point.seed, cfg, loss_rate=0.2))
 
 
 @sweep_task("example")

@@ -613,9 +613,10 @@ def bench_fault_trace(protocol: BenchProtocol, seed: int, quick: bool) -> Dict:
     """Fault-trace bookkeeping of one ``fault_campaign`` cell.
 
     The input is the record stream of one
-    :func:`~repro.faults.sweeps.chaos_cell_point` cell (plan seed
-    ``seed``, loss 0.3, on the trained demo scenario), captured once,
-    untimed.  The fast side replays it through
+    :func:`~repro.faults.sweeps.chaos_cell` run as
+    :func:`~repro.faults.sweeps.chaos_cell_point` runs it (plan seed
+    ``seed``, loss 0.3, two inferences, on the trained demo scenario),
+    captured once, untimed.  The fast side replays it through
     :meth:`~repro.faults.FaultTrace.record` and digests with
     :meth:`~repro.faults.FaultTrace.digest`; the reference side
     replays it through ``record_reference`` (every value through the
@@ -625,24 +626,12 @@ def bench_fault_trace(protocol: BenchProtocol, seed: int, quick: bool) -> Dict:
     alternate, and ``runs_s`` are per cell.  Before the clocks start,
     both sides' hex digests are asserted equal to the cell's own.
     """
-    from repro.faults import FaultPlan, FaultTrace, RetryPolicy, inject
-    from repro.faults.sweeps import build_chaos_shared, chaos_cell_point
-    from repro.par import SweepPoint
+    from repro.faults import FaultTrace
+    from repro.faults.sweeps import build_chaos_shared, chaos_cell
 
-    shared = build_chaos_shared(seed)
-    scenario = shared["scenario"]
-    # chaos_cell_point's plan and policy at loss 0.3 (its digest below
-    # is the check that this is the same cell).
-    plan = FaultPlan.random(
-        seed=seed, node_ids=sorted(scenario.topology.nodes), horizon=0.5,
-        loss_rate=0.3, n_crashes=1, n_brownouts=1,
-    )
-    run = inject(scenario, plan, policy=RetryPolicy(max_retries=2))
-    run.accuracy(shared["x"], shared["y"], chunks=2)
-    cell = chaos_cell_point(
-        SweepPoint(index=0, seed=seed, config={"loss_rate": 0.3}),
-        None, shared,
-    )
+    run, __ = chaos_cell(build_chaos_shared(seed), seed,
+                         {"loss_rate": 0.3, "chunks": 2})
+    cell_digest = run.trace.digest()
     recorded = [(r.time, r.kind, r.detail) for r in run.trace]
 
     def fast() -> str:
@@ -657,8 +646,7 @@ def bench_fault_trace(protocol: BenchProtocol, seed: int, quick: bool) -> Dict:
             replay.record_reference(t, kind, **detail)
         return replay.digest_reference()
 
-    digests = {fast(), reference(), run.trace.digest(),
-               cell["fault_trace_digest"]}
+    digests = {fast(), reference(), cell_digest}
     if len(digests) != 1:
         raise AssertionError(  # pragma: no cover - parity contract
             f"fault-trace digests diverged: {sorted(digests)}"
@@ -682,8 +670,7 @@ def bench_fault_trace(protocol: BenchProtocol, seed: int, quick: bool) -> Dict:
         "fault_trace",
         {"plan_seed": seed, "loss_rate": 0.3,
          "cells_per_run": _CELLS_PER_RUN, "seed": seed},
-        input_digest(extra=f"fault_trace seed={seed} "
-                           f"cell={cell['fault_trace_digest']}"),
+        input_digest(extra=f"fault_trace seed={seed} cell={cell_digest}"),
         TimingStats(runs[fast]), TimingStats(runs[reference]),
         counters.to_dict(),
     )

@@ -144,6 +144,27 @@ class TestSweepCli:
         assert main(argv) == 2
         assert argv[2] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", [
+        "max_retries=2.5",
+        "n_crashes=1.9",
+        "los_rate=0.5",
+        "max_retries=true",
+        "chunks=2.5",
+        "n_samples=80.5",
+        "horizon=inf",
+    ])
+    def test_bad_chaos_config_is_usage_error_naming_the_key(
+        self, setting, capsys
+    ):
+        """A chaos config the task cannot run as written is one stderr
+        line naming the key and exit 2, not a truncated run or a
+        traceback."""
+        assert main(["sweep", "chaos", "--seeds", "0",
+                     "--set", setting]) == 2
+        err = capsys.readouterr().err
+        assert setting.partition("=")[0] in err
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("argv", [
         ["bench", "--jobs", "2"],
         ["sweep", "rng", "--jobs", "2"],
